@@ -8,7 +8,8 @@ The layer that turns the service seam into a server:
   eviction of cold fingerprints, aggregated `stats()` with per-shard
   heat, and `warm()` for manifest-driven precompilation;
 * `DecideServer` / `run_server` — the asyncio JSON-lines TCP front end:
-  decisions on a bounded worker-thread executor, backpressure via a
+  cached decisions answered on the event loop (`SessionPool.probe`),
+  the rest on a bounded worker-thread executor, backpressure via a
   bounded in-flight gate (optionally shedding `Overloaded` frames),
   per-request deadlines with cooperative cancellation, per-client
   token-bucket quotas, graceful drain, and structured `ErrorFrame`s
@@ -21,6 +22,9 @@ The layer that turns the service seam into a server:
   supervised worker processes behind one dispatcher that routes frames
   by consistent hashing of the schema fingerprint, failing over worker
   deaths as typed retryable `WorkerLost` errors;
+* `lines.FrameLoop` — the one JSON-lines connection loop (framing,
+  ``FrameTooLong``, drain) that `DecideServer` and `FleetDispatcher`
+  both serve through;
 * `make_wsgi_app` — the same pool behind any WSGI httpd (stdlib
   ``wsgiref`` pairs with it for a dependency-free HTTP server), with
   Prometheus exposition on ``GET /metrics``.

@@ -69,7 +69,8 @@ from ..obs.logs import RequestLogger
 from ..obs.registry import MetricsRegistry, merge_snapshots
 from ..runtime import Overloaded, WorkerLost
 from .hashring import DEFAULT_REPLICAS, HashRing
-from .server import MAX_FRAME_BYTES
+from .lines import MAX_FRAME_BYTES, FrameLoop
+from .pool import text_key_of
 from .supervisor import CrashLoopError, Supervisor, WorkerSpec
 
 __all__ = ["Fleet", "FleetDispatcher", "run_fleet"]
@@ -147,20 +148,21 @@ class _Channel:
     async def _read_loop(self) -> None:
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
                 try:
+                    line = await self._reader.readline()
+                    if not line:
+                        break
                     payload = json.loads(line)
                 except ValueError:
-                    break  # a worker emitting garbage is a lost worker
+                    # A reply longer than CHANNEL_LIMIT_BYTES (readline
+                    # reports the overrun as ValueError) or garbage: the
+                    # stream cannot resynchronize, so the worker is lost.
+                    break
                 if self._pending:
                     future = self._pending.popleft()
                     if not future.done():
                         future.set_result(payload)
-        except (ConnectionError, OSError, asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
+        except (ConnectionError, OSError, asyncio.CancelledError):
             pass
         finally:
             self._lost()
@@ -300,9 +302,6 @@ class FleetDispatcher:
         self._workers: dict[str, _WorkerClient] = {}
         #: canonical schema spelling -> learned content fingerprint.
         self._routes: OrderedDict[str, str] = OrderedDict()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining: Optional[asyncio.Event] = None
-        self._conn_tasks: set[asyncio.Task] = set()
         self._counters = {
             "connections": 0,
             "connections_open": 0,
@@ -316,6 +315,7 @@ class FleetDispatcher:
             "workers_added": 0,
             "workers_removed": 0,
         }
+        self._lines = FrameLoop(self._process_line, self._counters)
 
     # ------------------------------------------------------------------
     # Observability
@@ -363,18 +363,8 @@ class FleetDispatcher:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "FleetDispatcher":
-        if self._server is not None:
-            return self
-        self._draining = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_FRAME_BYTES,
-        )
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        if not self._lines.listening:
+            self.port = await self._lines.start(self.host, self.port)
         return self
 
     @property
@@ -383,15 +373,11 @@ class FleetDispatcher:
 
     @property
     def draining(self) -> bool:
-        return self._draining is not None and self._draining.is_set()
+        return self._lines.draining
 
     async def serve_forever(self) -> None:
         await self.start()
-        assert self._server is not None
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+        await self._lines.serve_forever()
 
     async def close(self, *, drain_timeout: Optional[float] = None) -> None:
         """Stop accepting, drain client connections, drop workers.
@@ -402,21 +388,7 @@ class FleetDispatcher:
         themselves), then remaining connection tasks are
         force-cancelled and every worker channel torn down.
         """
-        if self._draining is not None:
-            self._draining.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        tasks = set(self._conn_tasks)
-        if tasks:
-            __, pending = await asyncio.wait(
-                tasks, timeout=drain_timeout
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
+        await self._lines.close(drain_timeout)
         for worker_id in list(self._workers):
             await self.remove_worker(worker_id)
 
@@ -469,9 +441,10 @@ class FleetDispatcher:
             return  # already replaced by a newer generation
         if all(channel.closed for channel in client.channels):
             task = asyncio.ensure_future(self.remove_worker(worker_id))
-            # Keep a reference so the cleanup cannot be GC-cancelled.
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+            # Keep a reference so the cleanup cannot be GC-cancelled,
+            # and so that close() waits for it.
+            self._lines.tasks.add(task)
+            task.add_done_callback(self._lines.tasks.discard)
 
     @property
     def workers(self) -> tuple[str, ...]:
@@ -480,22 +453,21 @@ class FleetDispatcher:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def routing_key(self, request: DecideRequest) -> str:
-        """The ring key for one frame: the learned content fingerprint
-        when known, else the canonical serialized spelling (``""`` for
-        the default schema)."""
-        if request.schema is None:
+    def routing_key(self, spelling: Optional[str]) -> str:
+        """The ring key for one frame's schema spelling (`text_key_of`;
+        None for the default schema): the learned content fingerprint
+        when known, else the spelling itself (``""`` for the
+        default)."""
+        if spelling is None:
             return ""
-        spelling = json.dumps(request.schema, sort_keys=True)
         return self._routes.get(spelling, spelling)
 
-    def _learn_route(self, request: DecideRequest, response: dict) -> None:
-        if request.schema is None:
+    def _learn_route(self, spelling: Optional[str], response: dict) -> None:
+        if spelling is None:
             return
         fingerprint = response.get("fingerprint")
         if not fingerprint or not isinstance(fingerprint, str):
             return
-        spelling = json.dumps(request.schema, sort_keys=True)
         if self._routes.get(spelling) == fingerprint:
             self._routes.move_to_end(spelling)
             return
@@ -506,73 +478,9 @@ class FleetDispatcher:
             self._routes.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # Connection handling (same staging as DecideServer)
+    # Frame processing (connections are read by the shared FrameLoop)
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._counters["connections"] += 1
-        self._counters["connections_open"] += 1
-        assert self._draining is not None
-        try:
-            while not self._draining.is_set():
-                read = asyncio.ensure_future(reader.readline())
-                drain = asyncio.ensure_future(self._draining.wait())
-                try:
-                    await asyncio.wait(
-                        {read, drain}, return_when=asyncio.FIRST_COMPLETED
-                    )
-                finally:
-                    drain.cancel()
-                    if not read.done():
-                        read.cancel()
-                        try:
-                            await read
-                        except (asyncio.CancelledError, Exception):
-                            pass
-                if not read.done() or read.cancelled():
-                    break
-                try:
-                    line = read.result()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self._counters["errors"] += 1
-                    frame = ErrorFrame(
-                        "FrameTooLong",
-                        f"request frame exceeds {MAX_FRAME_BYTES} bytes",
-                    ).to_dict()
-                    await self._write(writer, frame)
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                frame = await self._process_line(line)
-                await self._write(writer, frame)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._counters["connections_open"] -= 1
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    async def _write(writer: asyncio.StreamWriter, frame: dict) -> None:
-        # sort_keys: aggregated stats/metrics frames promise a stable
-        # key order to scrapers and diffing tools.
-        writer.write(
-            json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
-        )
-        await writer.drain()
-
-    async def _process_line(self, line: bytes) -> dict:
+    async def _process_line(self, line: bytes, peer: str = "?") -> dict:
         started = time.perf_counter()
         request, frame = await self._process_request(line)
         if self.metrics is not None or self._request_log is not None:
@@ -638,8 +546,8 @@ class FleetDispatcher:
         return request, await self._forward(request, line)
 
     async def _forward(self, request: DecideRequest, line: bytes) -> dict:
-        key = self.routing_key(request)
-        worker_id = self.ring.node_for(key)
+        spelling = text_key_of(request.schema)
+        worker_id = self.ring.node_for(self.routing_key(spelling))
         client = (
             self._workers.get(worker_id) if worker_id is not None else None
         )
@@ -662,7 +570,7 @@ class FleetDispatcher:
             self._counters["worker_lost"] += 1
             return ErrorFrame.from_exception(error, id=request.id).to_dict()
         self._counters["responses"] += 1
-        self._learn_route(request, response)
+        self._learn_route(spelling, response)
         return response
 
     # ------------------------------------------------------------------
@@ -754,7 +662,7 @@ class FleetDispatcher:
         return json_safe(frame)
 
     def __repr__(self) -> str:
-        state = "listening" if self._server is not None else "stopped"
+        state = "listening" if self._lines.listening else "stopped"
         return (
             f"FleetDispatcher({self.host}:{self.port}, {state}, "
             f"{len(self._workers)} workers)"

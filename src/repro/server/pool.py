@@ -19,7 +19,11 @@ evicted LRU once `max_fingerprints` distinct schemas have been seen
 
 `process(request)` is the transport-independent request path shared by
 the asyncio server, the WSGI adapter, and the batch CLI: route, decide
-or plan, stamp the request id.  `stats()` aggregates `Session.stats()`
+or plan, stamp the request id.  `probe(request)` is its cache-only
+twin for the TCP server's event loop: it answers a request whose exact
+(schema spelling, query text) pair a live session has already answered,
+without parsing, compiling, or ever blocking on the pool lock, and
+returns None otherwise.  `stats()` aggregates `Session.stats()`
 across the pool per fingerprint, plus the pool's own routing counters.
 """
 
@@ -136,6 +140,16 @@ class _Entry:
 
 
 SchemaLike = Union[None, dict, Schema, CompiledSchema]
+Response = Union[DecideResponse, PlanResponse]
+
+
+def text_key_of(schema: SchemaLike) -> Optional[str]:
+    """The serialized spelling an inline (dict) schema routes by; None
+    for anything else.  Transports compute it once per frame and pass
+    it along (`SessionPool.probe`, `SessionPool.process`)."""
+    if isinstance(schema, dict):
+        return json.dumps(schema, sort_keys=True)
+    return None
 
 
 class SessionPool:
@@ -238,10 +252,28 @@ class SessionPool:
         while len(self._text_keys) > self._max_text_keys:
             self._text_keys.popitem(last=False)
 
+    def _live_entry(self, text_key: str) -> Optional[_Entry]:
+        """The live entry a known spelling routes to (LRU-touched), or
+        None; counts nothing."""
+        fingerprint = self._text_keys.get(text_key)
+        if fingerprint is None:
+            return None
+        self._text_keys.move_to_end(text_key)
+        if (
+            self._default is not None
+            and fingerprint == self._default.compiled.fingerprint
+        ):
+            return self._default
+        entry = self._entries.get(fingerprint)
+        if entry is not None:
+            self._entries.move_to_end(fingerprint)
+        return entry
+
     def _entry_for(
         self,
         schema: SchemaLike,
         precompiled: Optional[CompiledSchema] = None,
+        text_key: Optional[str] = None,
     ) -> _Entry:
         if schema is None:
             if self._default is None:
@@ -249,23 +281,15 @@ class SessionPool:
                     "request carries no schema and the pool has no default"
                 )
             return self._default
-        text_key = None
-        if isinstance(schema, dict):
-            text_key = json.dumps(schema, sort_keys=True)
-            fingerprint = self._text_keys.get(text_key)
-            if fingerprint is not None:
-                self._text_keys.move_to_end(text_key)
-                if (
-                    self._default is not None
-                    and fingerprint == self._default.compiled.fingerprint
-                ):
-                    self._counters["text_key_hits"] += 1
-                    return self._default
-                entry = self._entries.get(fingerprint)
-                if entry is not None:
-                    self._counters["text_key_hits"] += 1
-                    self._entries.move_to_end(fingerprint)
-                    return entry
+        if not isinstance(schema, dict):
+            text_key = None
+        else:
+            if text_key is None:
+                text_key = text_key_of(schema)
+            entry = self._live_entry(text_key)
+            if entry is not None:
+                self._counters["text_key_hits"] += 1
+                return entry
         if precompiled is not None:
             # `warm_many` already built this schema outside the lock;
             # account for the compile exactly as `_compile` would have.
@@ -303,15 +327,19 @@ class SessionPool:
                 del self._text_keys[text]
         return entry
 
-    def session(self, schema: SchemaLike = None) -> Session:
+    def session(
+        self, schema: SchemaLike = None, text_key: Optional[str] = None
+    ) -> Session:
         """Route to a pooled session.
 
         ``schema`` may be None (the pinned default), an inline JSON
-        description (dict), a `Schema`, or a `CompiledSchema`.
+        description (dict), a `Schema`, or a `CompiledSchema`;
+        ``text_key`` is a dict schema's `text_key_of`, when the caller
+        already has it.
         """
         with self._lock:
             self._counters["requests"] += 1
-            entry = self._entry_for(schema)
+            entry = self._entry_for(schema, text_key=text_key)
             before = len(entry.sessions)
             session = entry.next_session(
                 self.limits, self.pool_size, self.store
@@ -390,7 +418,7 @@ class SessionPool:
                     keys.append(None)  # passthrough, no build needed
                     continue
                 if isinstance(schema, dict):
-                    text_key = json.dumps(schema, sort_keys=True)
+                    text_key = text_key_of(schema)
                     key = ("text", text_key)
                     fingerprint = self._text_keys.get(text_key)
                     if fingerprint is not None and (
@@ -479,7 +507,8 @@ class SessionPool:
         request: DecideRequest,
         *,
         budget: Optional[Budget] = None,
-    ) -> Union[DecideResponse, PlanResponse]:
+        text_key: Optional[str] = None,
+    ) -> Response:
         """Route and execute one request frame (op decide or plan).
 
         Raises on malformed input (bad schema, unparseable query, an op
@@ -488,6 +517,8 @@ class SessionPool:
         transports that need to cancel in-flight work (drain, client
         disconnect) construct the budget themselves and keep a handle.
         An exhausted budget raises `repro.runtime.DeadlineExceeded`.
+        ``text_key`` is the request schema's `text_key_of`, when the
+        transport already computed it.
         """
         if request.op not in ("decide", "plan"):
             raise ValueError(
@@ -495,15 +526,62 @@ class SessionPool:
             )
         if budget is None:
             budget = self.budget_for(request)
-        session = self.session(request.schema)
+        session = self.session(request.schema, text_key)
         if request.op == "plan":
-            response: Union[DecideResponse, PlanResponse] = session.plan(
-                request.query, budget=budget
-            )
+            response: Response = session.plan(request.query, budget=budget)
         else:
             response = session.decide(
                 request.query, finite=request.finite, budget=budget
             )
+        return self._finish(request, response)
+
+    def probe(
+        self, request: DecideRequest, text_key: Optional[str] = None
+    ) -> Optional[Response]:
+        """Answer a decide/plan request from a decision cache, or None.
+
+        The cache-only twin of `process`, safe on an event loop: it
+        routes through the spelling map alone (never compiles), looks
+        the exact query text up in each session of the fingerprint's
+        slice (`Session.probe`: never parses), and gives up — returns
+        None — on any miss, including a pool lock some thread holds
+        (compiles run under it).  A hit is accounted exactly like the
+        same request answered by `process`: pool ``requests`` and
+        ``text_key_hits``, the slice's requests, session hits, and
+        shard heat.  Budgets are not consulted: like every cache hit,
+        a probe hit is served even past its deadline.
+        """
+        if request.op not in ("decide", "plan"):
+            return None
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            if request.schema is None:
+                entry = self._default
+            else:
+                if text_key is None:
+                    text_key = text_key_of(request.schema)
+                entry = self._live_entry(text_key)
+            if entry is None:
+                return None
+            # `Session.plan` takes no ``finite``: plans key with False.
+            finite = request.finite and request.op == "decide"
+            for session in entry.sessions:
+                response = session.probe(request.op, request.query, finite)
+                if response is not None:
+                    break
+            else:
+                return None
+            self._counters["requests"] += 1
+            if request.schema is not None:
+                self._counters["text_key_hits"] += 1
+            entry.requests += 1
+            # `_record_heat` re-enters the lock this thread holds.
+            return self._finish(request, response)
+        finally:
+            self._lock.release()
+
+    def _finish(self, request: DecideRequest, response: Response) -> Response:
         self._record_heat(response.fingerprint, cached=response.cached)
         if request.id is not None:
             # Copy: the session cache keeps the id-free original.

@@ -8,12 +8,18 @@ response line a `DecideResponse`, `PlanResponse`, stats, pong, or
 order (responses line up with requests); concurrency comes from
 concurrent connections.
 
-The event loop never decides anything itself: decisions run on a
-bounded worker-thread executor, so slow chases cannot stall frame
-parsing, stats probes, or other connections.  Backpressure is a
-bounded in-flight gate: once ``max_pending`` decisions are queued or
-running, readers simply stop pulling new frames until capacity frees —
-the TCP receive window, not an unbounded buffer, absorbs the burst.
+The event loop only probes the decision cache, non-blocking; it never
+parses, compiles or decides.  A decide/plan frame whose exact (schema
+spelling, query text) pair a session has already answered is served
+right there (`SessionPool.probe`, counted as ``loop_hits``); every
+other frame runs on a bounded worker-thread executor, so slow chases
+cannot stall frame parsing, stats probes, or other connections.
+Connections are read by the shared `repro.server.lines.FrameLoop`.
+
+Backpressure is a bounded in-flight gate: once ``max_pending``
+decisions are queued or running, readers simply stop pulling new
+frames until capacity frees — the TCP receive window, not an
+unbounded buffer, absorbs the burst.
 With ``shed_after_ms`` set, a frame that cannot acquire the gate in
 time is *shed* with a retryable ``Overloaded`` error frame instead of
 waiting — saturation becomes visible to clients, never a silent stall.
@@ -39,9 +45,9 @@ is spent), flushes final frames, and only then releases the executor.
 Malformed frames (bad JSON, unknown op, invalid schema, a query that
 does not parse) come back as structured `ErrorFrame`s on the stream —
 never a traceback, and the connection stays open.  The one exception
-is a frame longer than `MAX_FRAME_BYTES`: the line stream cannot be
-resynchronized past it, so the server sends a ``FrameTooLong`` error
-frame and then closes that connection.
+is a frame longer than `repro.server.lines.MAX_FRAME_BYTES`: the line
+stream cannot be resynchronized past it, so the server sends a
+``FrameTooLong`` error frame and then closes that connection.
 
 ::
 
@@ -68,7 +74,8 @@ from ..obs.logs import RequestLogger
 from ..obs.registry import MetricsRegistry
 from ..obs.timing import StageTimer, activate, deactivate
 from ..runtime import Budget, DeadlineExceeded, Overloaded
-from .pool import SessionPool, introspection_frame
+from .lines import FrameLoop
+from .pool import SessionPool, introspection_frame, text_key_of
 
 #: Default TCP port (unassigned by IANA; "answerability" has no port).
 DEFAULT_PORT = 8765
@@ -76,10 +83,6 @@ DEFAULT_PORT = 8765
 DEFAULT_MAX_PENDING = 64
 #: Default worker threads deciding concurrently.
 DEFAULT_WORKERS = 4
-
-#: Cap on one request line; longer frames get a structured error (the
-#: asyncio default readline limit would kill the connection instead).
-MAX_FRAME_BYTES = 1 << 20
 
 #: Retry hint on quota/in-flight shedding when no better estimate exists.
 DEFAULT_RETRY_AFTER_MS = 50.0
@@ -184,9 +187,6 @@ class DecideServer:
         self._clock = clock
         self._executor: Optional[ThreadPoolExecutor] = None
         self._gate: Optional[asyncio.Semaphore] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining: Optional[asyncio.Event] = None
-        self._conn_tasks: set[asyncio.Task] = set()
         self._budgets: set[Budget] = set()
         self._clients: dict[str, _ClientState] = {}
         #: Shared bucket for peers arriving while the table is full of
@@ -198,6 +198,7 @@ class DecideServer:
             "connections_open": 0,
             "frames": 0,
             "responses": 0,
+            "loop_hits": 0,
             "errors": 0,
             "in_flight": 0,
             "overloaded": 0,
@@ -206,6 +207,7 @@ class DecideServer:
             "client_evictions": 0,
             "client_overflow": 0,
         }
+        self._lines = FrameLoop(self._process_line, self._counters)
         self.metrics: Optional[MetricsRegistry] = None
         self._request_log = request_log
         self._m_requests = None
@@ -219,23 +221,14 @@ class DecideServer:
     # ------------------------------------------------------------------
     async def start(self) -> "DecideServer":
         """Bind and start accepting connections (idempotent)."""
-        if self._server is not None:
+        if self._lines.listening:
             return self
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
         self._gate = asyncio.Semaphore(self.max_pending)
-        self._draining = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_FRAME_BYTES,
-        )
-        # Resolve the actual port (supports port=0 for tests).
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        # Resolves the actual port (supports port=0 for tests).
+        self.port = await self._lines.start(self.host, self.port)
         return self
 
     @property
@@ -244,55 +237,31 @@ class DecideServer:
 
     @property
     def draining(self) -> bool:
-        return self._draining is not None and self._draining.is_set()
+        return self._lines.draining
 
     async def serve_forever(self) -> None:
         """Start (if needed) and block until cancelled/closed."""
         await self.start()
-        assert self._server is not None
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+        await self._lines.serve_forever()
 
     async def close(self, *, drain_timeout: Optional[float] = None) -> None:
         """Stop accepting and drain, then release the executor.
 
-        Drain is staged: (1) set the drain flag — connection readers
-        stop pulling new frames — and close the listener; (2) wait for
-        in-flight work to finish naturally; with ``drain_timeout`` set,
-        after half the timeout every in-flight `Budget` is cancelled
-        (reason ``drain``) so workers surface retryable
-        ``DeadlineExceeded`` frames instead of running long; (3) any
-        connection task still alive at the deadline is force-cancelled.
-        Responses for completed work are always flushed before their
-        connection closes.  Without ``drain_timeout`` the server waits
-        indefinitely for in-flight work (the pre-drain behavior, minus
-        accepting new frames).
+        Drain is staged: (1) close the listener and stop reading —
+        connections waiting for their next frame close at once; (2)
+        wait for in-flight work to finish naturally; with
+        ``drain_timeout`` set, after half the timeout every in-flight
+        `Budget` is cancelled (reason ``drain``) so workers surface
+        retryable ``DeadlineExceeded`` frames instead of running long;
+        (3) any connection still alive at the deadline is
+        force-cancelled.  Responses for completed work are always
+        flushed before their connection closes.  Without
+        ``drain_timeout`` the server waits indefinitely for in-flight
+        work (the pre-drain behavior, minus accepting new frames).
         """
-        if self._draining is not None:
-            self._draining.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        tasks = set(self._conn_tasks)
-        if tasks:
-            if drain_timeout is None:
-                await asyncio.wait(tasks)
-            else:
-                __, pending = await asyncio.wait(
-                    tasks, timeout=drain_timeout / 2.0
-                )
-                if pending:
-                    self.cancel_in_flight("drain")
-                    __, pending = await asyncio.wait(
-                        pending, timeout=drain_timeout / 2.0
-                    )
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    await asyncio.wait(pending, timeout=1.0)
+        await self._lines.close(
+            drain_timeout, overdue=lambda: self.cancel_in_flight("drain")
+        )
         if self._executor is not None:
             executor = self._executor
             self._executor = None
@@ -464,81 +433,6 @@ class DecideServer:
         return None
 
     # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        peername = writer.get_extra_info("peername")
-        peer = peername[0] if peername else "?"
-        self._counters["connections"] += 1
-        self._counters["connections_open"] += 1
-        assert self._draining is not None
-        try:
-            while not self._draining.is_set():
-                read = asyncio.ensure_future(reader.readline())
-                drain = asyncio.ensure_future(self._draining.wait())
-                try:
-                    await asyncio.wait(
-                        {read, drain}, return_when=asyncio.FIRST_COMPLETED
-                    )
-                finally:
-                    drain.cancel()
-                    if not read.done():
-                        # Drain won the race: stop reading; no frame is
-                        # lost (the request was never accepted).
-                        read.cancel()
-                        try:
-                            await read
-                        except (asyncio.CancelledError, Exception):
-                            pass
-                if not read.done() or read.cancelled():
-                    break
-                try:
-                    line = read.result()
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                ):  # frame longer than MAX_FRAME_BYTES
-                    self._counters["errors"] += 1
-                    frame = ErrorFrame(
-                        "FrameTooLong",
-                        f"request frame exceeds {MAX_FRAME_BYTES} bytes",
-                    ).to_dict()
-                    await self._write(writer, frame)
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                frame = await self._process_line(line, peer)
-                await self._write(writer, frame)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._counters["connections_open"] -= 1
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    async def _write(writer: asyncio.StreamWriter, frame: dict) -> None:
-        # sort_keys: introspection payloads promise a stable key order
-        # to scrapers and diffing tools; response frames are small, so
-        # sorting everything costs nothing measurable.
-        writer.write(
-            json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
-        )
-        await writer.drain()
-
-    # ------------------------------------------------------------------
     # Frame processing
     # ------------------------------------------------------------------
     async def _process_line(self, line: bytes, peer: str = "?") -> dict:
@@ -583,6 +477,12 @@ class DecideServer:
             if request.id is not None:
                 shed = dataclasses.replace(shed, id=request.id)
             return request, shed.to_dict()
+        text_key = text_key_of(request.schema)
+        hit = self.pool.probe(request, text_key)
+        if hit is not None:
+            self._counters["loop_hits"] += 1
+            self._counters["responses"] += 1
+            return request, hit.to_dict()
         assert self._gate is not None and self._executor is not None
         acquired = False
         if self.shed_after_ms is not None:
@@ -619,7 +519,9 @@ class DecideServer:
                 timer.add("queue", time.perf_counter() - submitted)
                 previous = activate(timer)
             try:
-                return self.pool.process(request, budget=budget)
+                return self.pool.process(
+                    request, budget=budget, text_key=text_key
+                )
             finally:
                 if timer is not None:
                     deactivate(previous)
@@ -653,7 +555,7 @@ class DecideServer:
         )
 
     def __repr__(self) -> str:
-        state = "listening" if self._server is not None else "stopped"
+        state = "listening" if self._lines.listening else "stopped"
         return f"DecideServer({self.host}:{self.port}, {state})"
 
 

@@ -11,8 +11,11 @@ an LRU decision cache, and exposes the four service verbs:
 Queries may be `ConjunctiveQuery` objects or text in the
 `repro.logic.parser` syntax.  The cache key is the pair (schema
 fingerprint, canonical query form): queries that differ only in
-variable names or in the query name share an entry.  Responses are
-wire-ready (`to_dict`) and mark cache hits with ``cached=True``.
+variable names or in the query name share an entry.  In front of it
+sits an exact-text key: each entry remembers the last few query texts
+that reached it, so a repeat of one is a dictionary lookup
+(`Session.probe`) with no parse at all.  Responses are wire-ready
+(`to_dict`) and mark cache hits with ``cached=True``.
 
 Resource limits (``max_rounds``, ``max_facts``) bound the semidecidable
 chase routes, replacing the per-call keyword defaults of the free
@@ -55,6 +58,10 @@ from ..schema.schema import Schema
 from .compiled import CompiledSchema, as_compiled
 
 QueryLike = Union[str, ConjunctiveQuery]
+
+#: Exact query texts remembered per decision-cache entry (alpha
+#: variants of one query share the entry, each under its own text).
+MAX_TEXTS_PER_ENTRY = 4
 
 
 def canonical_query_key(query: ConjunctiveQuery) -> str:
@@ -120,7 +127,14 @@ class Session:
         #: are deterministic and identical for every setting.
         self.chase_parallelism = chase_parallelism
         self.cache_size = cache_size
-        self._cache: OrderedDict[tuple, Any] = OrderedDict()
+        #: The decision LRU: canonical key -> (response, texts), where
+        #: ``texts`` are the last `MAX_TEXTS_PER_ENTRY` exact request
+        #: texts ``(op, query text, finite)`` that reached the entry.
+        #: ``_texts`` indexes them (text -> (canonical key, the text's
+        #: parsed repr)), so an exact-text key lives and dies with its
+        #: entry.
+        self._cache: OrderedDict[tuple, tuple] = OrderedDict()
+        self._texts: dict[tuple, tuple] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -152,21 +166,89 @@ class Session:
 
     def _cache_get(self, key: tuple) -> Optional[Any]:
         with self._lock:
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                self.hits += 1
-                return self._cache[key]
-            self.misses += 1
-            return None
+            slot = self._cache.get(key)
+            if slot is None:
+                self.misses += 1
+                return None
+            self._cache.move_to_end(key)
+            self.hits += 1
+            return slot[0]
 
-    def _cache_put(self, key: tuple, value: Any) -> None:
+    def _cache_put(
+        self,
+        key: tuple,
+        value: Any,
+        text: Optional[tuple] = None,
+        query: str = "",
+    ) -> None:
         if self.cache_size <= 0:
             return
         with self._lock:
-            self._cache[key] = value
+            previous = self._cache.get(key)
+            self._cache[key] = (value, previous[1] if previous else ())
             self._cache.move_to_end(key)
+            self._link(key, text, query)
             while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+                __, (___, texts) = self._cache.popitem(last=False)
+                for evicted in texts:
+                    del self._texts[evicted]
+
+    def _link(self, key: tuple, text: Optional[tuple], query: str) -> None:
+        """Make ``text`` an exact-text key of the cached entry ``key``
+        (the entry's oldest text makes room past the cap)."""
+        if text is None:
+            return
+        with self._lock:
+            slot = self._cache.get(key)
+            if slot is None or text in self._texts:
+                return
+            texts = slot[1] + (text,)
+            if len(texts) > MAX_TEXTS_PER_ENTRY:
+                del self._texts[texts[0]]
+                texts = texts[1:]
+            self._cache[key] = (slot[0], texts)
+            self._texts[text] = (key, query)
+
+    def probe(
+        self, op: str, text: str, finite: bool = False
+    ) -> Optional[Union[DecideResponse, PlanResponse]]:
+        """The exact-text hit path: the cached response for a query
+        text this session answered before (op ``decide`` or ``plan``),
+        or None without counting a miss.
+
+        No parse, no canonical form, no durable key: one dictionary
+        lookup under the session lock.  `decide` and `plan` call it
+        first, and the TCP server calls it (through
+        `repro.server.SessionPool.probe`) on its event loop, so both
+        serve a repeated text through this one path.
+        """
+        started = time.perf_counter()
+        with self._lock:
+            memo = self._texts.get((op, text, finite))
+            if memo is None:
+                return None
+            key, query = memo
+            hit = self._cache[key][0]
+            self._cache.move_to_end(key)
+            self.hits += 1
+        return self._served(hit, query, started)
+
+    @staticmethod
+    def _served(hit: Any, query: str, started: float) -> Any:
+        """A cache hit as handed out: a fresh copy (detail included), so
+        callers may annotate it without poisoning the cache entry.
+        ``elapsed_ms`` is this lookup's cost, not the original
+        decision's."""
+        if isinstance(hit, PlanResponse):
+            return replace(hit, cached=True, query=query)
+        return replace(
+            hit,
+            cached=True,
+            query=query,
+            elapsed_ms=round((time.perf_counter() - started) * 1000.0, 3),
+            detail=copy.deepcopy(hit.detail),
+            error=copy.deepcopy(hit.error),
+        )
 
     # ------------------------------------------------------------------
     # Durable tier (load-through / write-through around the LRU)
@@ -243,32 +325,25 @@ class Session:
         budget is already exhausted (they cost microseconds).
         """
         started = time.perf_counter()
+        text = None
+        if isinstance(query, str):
+            text = ("decide", query, finite)
+            hit = self.probe(*text)
+            if hit is not None:
+                return hit
         parsed = self._coerce(query)
+        shown = repr(parsed)
         key = ("decide", canonical_query_key(parsed), finite)
         hit = self._cache_get(key)
         durable_key: Optional[str] = None
-        if self.store is not None:
+        if hit is None and self.store is not None:
             durable_key = self._durable_key("decide", key[1], finite)
-            if hit is None:
-                hit = self._durable_load(
-                    durable_key, DecideResponse.from_dict
-                )
-                if hit is not None:
-                    self._cache_put(key, hit)
+            hit = self._durable_load(durable_key, DecideResponse.from_dict)
+            if hit is not None:
+                self._cache_put(key, hit)
         if hit is not None:
-            # Fresh copy (detail included): callers may annotate the
-            # response without poisoning the cache entry.  elapsed_ms is
-            # this lookup's cost, not the original decision's.
-            return replace(
-                hit,
-                cached=True,
-                query=repr(parsed),
-                elapsed_ms=round(
-                    (time.perf_counter() - started) * 1000.0, 3
-                ),
-                detail=copy.deepcopy(hit.detail),
-                error=copy.deepcopy(hit.error),
-            )
+            self._link(key, text, shown)
+            return self._served(hit, shown, started)
         if budget is not None:
             budget.check()
         result = self._decide_result(parsed, finite=finite, budget=budget)
@@ -282,7 +357,7 @@ class Session:
         else:
             structured_error = None
         response = DecideResponse(
-            query=repr(parsed),
+            query=shown,
             decision=result.truth.value,
             reason=result.decision.reason,
             route=result.route,
@@ -303,7 +378,7 @@ class Session:
                 detail=copy.deepcopy(response.detail),
                 error=None,
             )
-            self._cache_put(key, cacheable)
+            self._cache_put(key, cacheable, text, shown)
             if durable_key is not None:
                 self._durable_put(durable_key, cacheable)
         # Responses carrying a structured error (rewriting/chase budget
@@ -358,18 +433,26 @@ class Session:
         self, query: QueryLike, *, budget: Optional[Budget] = None
     ) -> PlanResponse:
         """Extract a static plan (Boolean queries); cached like decide."""
+        started = time.perf_counter()
+        text = None
+        if isinstance(query, str):
+            text = ("plan", query, False)
+            hit = self.probe(*text)
+            if hit is not None:
+                return hit
         parsed = self._coerce(query)
+        shown = repr(parsed)
         key = ("plan", canonical_query_key(parsed))
         hit = self._cache_get(key)
         durable_key: Optional[str] = None
-        if self.store is not None:
+        if hit is None and self.store is not None:
             durable_key = self._durable_key("plan", key[1])
-            if hit is None:
-                hit = self._durable_load(durable_key, PlanResponse.from_dict)
-                if hit is not None:
-                    self._cache_put(key, hit)
+            hit = self._durable_load(durable_key, PlanResponse.from_dict)
+            if hit is not None:
+                self._cache_put(key, hit)
         if hit is not None:
-            return replace(hit, cached=True, query=repr(parsed))
+            self._link(key, text, shown)
+            return self._served(hit, shown, started)
         if budget is not None:
             budget.check()
         try:
@@ -384,14 +467,14 @@ class Session:
             )
         except PlanExtractionError as error:
             return PlanResponse(
-                query=repr(parsed),
+                query=shown,
                 answerable=False,
                 reason=str(error),
                 fingerprint=self.compiled.fingerprint,
             )
         if plan is None:
             response = PlanResponse(
-                query=repr(parsed),
+                query=shown,
                 answerable=False,
                 reason=(
                     "the query is not (provably) monotone answerable "
@@ -401,7 +484,7 @@ class Session:
             )
         else:
             response = PlanResponse(
-                query=repr(parsed),
+                query=shown,
                 answerable=True,
                 plan=str(plan),
                 fingerprint=self.compiled.fingerprint,
@@ -409,7 +492,7 @@ class Session:
         # Store a copy so caller attribute assignment cannot poison the
         # cache entry (all field values are immutable).
         cacheable = replace(response)
-        self._cache_put(key, cacheable)
+        self._cache_put(key, cacheable, text, shown)
         if durable_key is not None:
             self._durable_put(durable_key, cacheable)
         return response
@@ -470,6 +553,7 @@ class Session:
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()
+            self._texts.clear()
 
     def __repr__(self) -> str:
         return (

@@ -11,9 +11,17 @@ re-admission, aggregated stats, and drain.
 import asyncio
 import json
 
+import pytest
+
 from repro.io import schema_to_dict
 from repro.server import DecideServer, FleetDispatcher, SessionPool
-from repro.workloads import id_chain_workload, university_schema
+from repro.server import fleet as fleet_module
+from repro.server.lines import SETTLE_S
+from repro.workloads import (
+    id_chain_workload,
+    lookup_chain_workload,
+    university_schema,
+)
 
 UNIVERSITY_QUERY = "Udirectory(i,a,p)"
 
@@ -297,6 +305,48 @@ class TestWorkerLoss:
         assert error["retry_after_ms"] > 0
         assert reply["id"] == 3
 
+    def test_oversized_worker_reply_is_a_lost_worker(self, monkeypatch):
+        # A worker reply past the channel's line limit cannot be
+        # resynchronized past: the in-flight frame fails as a typed
+        # retryable WorkerLost, and the channel's read task ends
+        # cleanly instead of dying with an unretrieved exception.
+        limit = 4096
+        monkeypatch.setattr(fleet_module, "CHANNEL_LIMIT_BYTES", limit)
+
+        async def scenario():
+            async def handler(reader, writer):
+                await reader.readline()
+                writer.write(b'"' + b"x" * (2 * limit) + b'"\n')
+                await writer.drain()
+                await reader.read()  # hold the connection open
+                writer.close()
+
+            fake = await asyncio.start_server(handler, "127.0.0.1", 0)
+            port = fake.sockets[0].getsockname()[1]
+            dispatcher = FleetDispatcher(port=0, channels_per_worker=1)
+            await dispatcher.start()
+            await dispatcher.add_worker("fake", "127.0.0.1", port)
+            (channel,) = dispatcher._workers["fake"].channels
+            try:
+                replies = await asyncio.wait_for(
+                    exchange(
+                        dispatcher, [{"query": UNIVERSITY_QUERY, "id": 4}]
+                    ),
+                    timeout=10,
+                )
+                await asyncio.wait_for(channel._read_task, timeout=10)
+                return replies, channel._read_task
+            finally:
+                await shutdown(dispatcher)
+                fake.close()
+                await fake.wait_closed()
+
+        (reply,), read_task = run(scenario())
+        assert reply["error"]["type"] == "WorkerLost"
+        assert reply["error"]["retryable"] is True
+        assert reply["id"] == 4
+        assert read_task.done() and read_task.exception() is None
+
     def test_dead_worker_is_evicted_and_traffic_reroutes(self):
         async def scenario():
             victim = await started_worker()
@@ -424,7 +474,168 @@ class TestStats:
                 assert reply["id"] == f"{n}-{i}"  # FIFO: no crosstalk
 
 
+class FrontEnd:
+    """A front end under test: a bare `DecideServer`, or a
+    `FleetDispatcher` in front of one in-process worker.  Both read
+    their connections through the shared `repro.server.lines.FrameLoop`,
+    so every drain and framing case must hold for both."""
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.worker: DecideServer = None
+        self.front = None
+
+    async def start(self) -> "FrontEnd":
+        self.worker = await started_worker()
+        if self.kind == "server":
+            self.front = self.worker
+        else:
+            self.front = await started_dispatcher({"w0": self.worker})
+        return self
+
+    @property
+    def address(self):
+        return self.front.address
+
+    async def close(self, drain_timeout: float) -> None:
+        if self.front is self.worker:
+            await self.worker.close(drain_timeout=drain_timeout)
+            return
+        # The fleet's drain order: the dispatcher stops reading first,
+        # then the worker drains the frames already forwarded to it.
+        closing = asyncio.ensure_future(
+            self.front.close(drain_timeout=drain_timeout)
+        )
+        await asyncio.sleep(4 * SETTLE_S)
+        await self.worker.close(drain_timeout=drain_timeout)
+        await closing
+
+
+FRONT_ENDS = pytest.mark.parametrize("kind", ["server", "fleet"])
+
+
+def slow_request() -> dict:
+    """A frame whose decision takes seconds uncapped."""
+    workload = lookup_chain_workload(6)
+    return {
+        "schema": schema_to_dict(workload.schema),
+        "query": repr(workload.query),
+    }
+
+
 class TestDrain:
+    @FRONT_ENDS
+    def test_close_with_drain_timeout_cancels_in_flight_work(self, kind):
+        async def scenario():
+            end = await FrontEnd(kind).start()
+            reader, writer = await asyncio.open_connection(*end.address)
+            frame = dict(slow_request(), id="x")
+            writer.write(json.dumps(frame).encode() + b"\n")
+            await writer.drain()
+            await asyncio.sleep(0.2)  # let the worker pick it up
+            assert end.worker._counters["in_flight"] == 1
+            await end.close(drain_timeout=0.4)
+            line = await asyncio.wait_for(reader.readline(), timeout=5)
+            closed = await asyncio.wait_for(reader.readline(), timeout=5)
+            writer.close()
+            return (
+                json.loads(line),
+                closed,
+                dict(end.worker._counters),
+                dict(end.front._counters),
+            )
+
+        reply, closed, worker, front = run(scenario())
+        # The in-flight request got a well-formed final frame: cancelled
+        # by the drain, marked retryable; then the connection closed.
+        assert reply["error"]["type"] == "DeadlineExceeded"
+        assert reply["error"]["retryable"] is True
+        assert reply["id"] == "x"
+        assert "drain" in reply["error"]["message"]
+        assert closed == b""
+        assert worker["cancelled"] >= 1
+        assert front["connections_open"] == 0
+
+    @FRONT_ENDS
+    def test_drain_finishes_fast_work_without_cancelling(self, kind):
+        # The frame's bytes arrive just before close(): the connection
+        # is parked in readline with a complete frame buffered, so the
+        # drain must answer it rather than drop it.
+        async def scenario():
+            end = await FrontEnd(kind).start()
+            reader, writer = await asyncio.open_connection(*end.address)
+            writer.write(
+                json.dumps({"query": UNIVERSITY_QUERY, "id": 9}).encode()
+                + b"\n"
+            )
+            await writer.drain()
+            await end.close(drain_timeout=30.0)
+            line = await asyncio.wait_for(reader.readline(), timeout=5)
+            writer.close()
+            return json.loads(line), dict(end.worker._counters)
+
+        reply, counters = run(scenario())
+        assert reply.get("decision") == "yes"
+        assert reply["id"] == 9
+        assert counters["cancelled"] == 0
+
+    @FRONT_ENDS
+    def test_draining_front_end_stops_reading_new_frames(self, kind):
+        async def scenario():
+            end = await FrontEnd(kind).start()
+            reader, writer = await asyncio.open_connection(*end.address)
+            await asyncio.sleep(0.05)
+            closing = asyncio.ensure_future(end.close(drain_timeout=2.0))
+            await asyncio.sleep(0.1)
+            assert end.front.draining
+            # A frame sent after drain started is never answered; the
+            # connection just closes.
+            writer.write(
+                json.dumps({"query": UNIVERSITY_QUERY}).encode() + b"\n"
+            )
+            try:
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            line = await asyncio.wait_for(reader.readline(), timeout=5)
+            await closing
+            writer.close()
+            return line
+
+        assert run(scenario()) == b""
+
+    @FRONT_ENDS
+    def test_oversized_frame_gets_a_structured_error(self, kind):
+        async def scenario():
+            end = await FrontEnd(kind).start()
+            try:
+                reader, writer = await asyncio.open_connection(*end.address)
+
+                async def send() -> None:
+                    # The front end replies and hangs up mid-send; the
+                    # tail of the write may die with a reset.
+                    try:
+                        writer.write(b'"' + b"x" * (2 << 20) + b'"\n')
+                        await writer.drain()
+                    except (ConnectionResetError, BrokenPipeError):
+                        pass
+
+                sending = asyncio.ensure_future(send())
+                line = await asyncio.wait_for(reader.readline(), timeout=30)
+                await sending
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionResetError, BrokenPipeError):
+                    pass
+                return json.loads(line), dict(end.front._counters)
+            finally:
+                await end.close(drain_timeout=5)
+
+        reply, counters = run(scenario())
+        assert reply["error"]["type"] == "FrameTooLong"
+        assert counters["errors"] == 1
+
     def test_close_is_idempotent_and_releases_workers(self):
         async def scenario():
             worker = await started_worker()

@@ -1,0 +1,361 @@
+"""The event-loop cache probe (`SessionPool.probe` / `Session.probe`).
+
+A decide or plan frame whose exact (schema spelling, query text) pair a
+session has already answered is served on the server's event loop,
+without the parse, the compile, or the executor hop.  These tests pin
+that the loop-served reply and every counter are exactly what the
+executor path would have produced, that quotas still apply, and that
+the probe never blocks the loop on the pool lock.
+"""
+
+import asyncio
+import json
+import random
+import sys
+import threading
+
+import pytest
+
+from repro.io import schema_to_dict
+from repro.logic.parser import parse_cq
+from repro.server import DecideServer, SessionPool
+from repro.service import Session
+from repro.service.session import MAX_TEXTS_PER_ENTRY
+from repro.workloads import (
+    fd_determinacy_workload,
+    id_width_workload,
+    lookup_chain_workload,
+    tgd_transfer_workload,
+    uid_fd_workload,
+    university_schema,
+)
+
+#: One workload per Table 1 route.
+ROUTES = [
+    ("fds", fd_determinacy_workload(3)),
+    ("fds-undet", fd_determinacy_workload(3, ask_undetermined=True)),
+    ("ids", lookup_chain_workload(3, dump_bound=None)),
+    ("ids-bounded", lookup_chain_workload(3, dump_bound=5)),
+    ("bounded-width", id_width_workload(2)),
+    ("uids-fds", uid_fd_workload(3)),
+    ("uids-nofd", uid_fd_workload(3, with_fd=False)),
+    ("tgds", tgd_transfer_workload(3)),
+]
+
+
+def run(coroutine):
+    return asyncio.run(coroutine)
+
+
+def frame(workload, **extra) -> bytes:
+    payload = {
+        "query": repr(workload.query),
+        "schema": schema_to_dict(workload.schema),
+        **extra,
+    }
+    return json.dumps(payload).encode("utf-8") + b"\n"
+
+
+def without_probe(pool: SessionPool) -> SessionPool:
+    """Force every frame onto the executor path."""
+    pool.probe = lambda request, text_key=None: None
+    return pool
+
+
+def comparable(reply: dict) -> dict:
+    return {k: v for k, v in reply.items() if k != "elapsed_ms"}
+
+
+async def replies(server: DecideServer, lines: list) -> list:
+    return [await server._process_line(line, "peer") for line in lines]
+
+
+class TestSameReplies:
+    @pytest.mark.parametrize(
+        "name,workload", ROUTES, ids=[name for name, __ in ROUTES]
+    )
+    def test_loop_reply_equals_executor_reply(self, name, workload):
+        lines = [
+            frame(workload, id=1),
+            frame(workload, id=2),
+            frame(workload, op="plan", id=3),
+            frame(workload, op="plan", id=4),
+        ]
+
+        async def scenario(pool):
+            server = await DecideServer(pool, port=0).start()
+            try:
+                got = await replies(server, lines)
+                return got, server.server_stats()["loop_hits"]
+            finally:
+                await server.close()
+
+        # One session per fingerprint: the executor path's round-robin
+        # then lands every repeat on the session that cached the first.
+        loop, loop_hits = run(scenario(SessionPool(pool_size=1)))
+        executor, executor_hits = run(
+            scenario(without_probe(SessionPool(pool_size=1)))
+        )
+        assert (loop_hits, executor_hits) == (2, 0)
+        assert loop[1]["cached"] is True and loop[3]["cached"] is True
+        assert [comparable(r) for r in loop] == [
+            comparable(r) for r in executor
+        ]
+        # ... and equal to a hit through the canonical-form key, which
+        # a query object (no text) always takes.
+        session = Session(workload.schema)
+        parsed = parse_cq(repr(workload.query))
+        session.decide(parsed)
+        canonical = session.decide(parsed).to_dict()
+        canonical["id"] = 2
+        assert comparable(loop[1]) == comparable(canonical)
+
+
+class TestAccounting:
+    def test_counters_match_the_executor_path(self):
+        workloads = [workload for __, workload in ROUTES[:4]]
+        lines = [frame(w) for w in workloads] * 3 + [
+            b'{"query": "Udirectory(i, a, p)"}\n',
+            b'{"query": "Udirectory(i, a, p)"}\n',
+        ]
+
+        async def scenario(pool):
+            server = await DecideServer(pool, port=0).start()
+            try:
+                await replies(server, lines)
+                return pool.stats(), server.server_stats()
+            finally:
+                await server.close()
+
+        def pool_of():
+            return SessionPool(university_schema(ud_bound=100), pool_size=1)
+
+        loop_stats, loop_server = run(scenario(pool_of()))
+        exec_stats, exec_server = run(scenario(without_probe(pool_of())))
+        assert loop_server["loop_hits"] == 2 * len(workloads) + 1
+        assert exec_server["loop_hits"] == 0
+        assert loop_stats["counters"] == exec_stats["counters"]
+        assert loop_stats["per_fingerprint"] == exec_stats["per_fingerprint"]
+        for ours, theirs in zip(loop_stats["sessions"], exec_stats["sessions"]):
+            assert ours["requests"] == theirs["requests"]
+            assert ours["cache"] == theirs["cache"]
+        assert loop_server["responses"] == exec_server["responses"]
+
+    def test_rate_quota_sheds_would_be_loop_hits(self):
+        async def scenario():
+            pool = SessionPool(university_schema(ud_bound=100))
+            server = await DecideServer(
+                pool, port=0, client_rate=0.1, client_burst=2.0
+            ).start()
+            try:
+                line = b'{"query": "Udirectory(i, a, p)"}\n'
+                got = await replies(server, [line] * 5)
+                return got, server.server_stats()
+            finally:
+                await server.close()
+
+        got, stats = run(scenario())
+        assert [("decision" in r) for r in got] == [True, True] + [False] * 3
+        assert all(r["error"]["type"] == "Overloaded" for r in got[2:])
+        assert stats["loop_hits"] == 1
+        assert stats["overloaded"] == 3
+
+    def test_expired_deadline_hit_is_still_served(self):
+        async def scenario():
+            pool = SessionPool(university_schema(ud_bound=100))
+            server = await DecideServer(pool, port=0).start()
+            try:
+                first, late = await replies(
+                    server,
+                    [
+                        b'{"query": "Udirectory(i, a, p)"}\n',
+                        b'{"query": "Udirectory(i, a, p)", '
+                        b'"deadline_ms": 1e-06}\n',
+                    ],
+                )
+                return first, late, server.server_stats()
+            finally:
+                await server.close()
+
+        first, late, stats = run(scenario())
+        assert first["decision"] == late["decision"] == "yes"
+        assert late["cached"] is True
+        assert stats["loop_hits"] == 1
+        assert stats["deadline_exceeded"] == 0
+
+
+class TestNeverBlocks:
+    def test_ping_answered_while_a_compile_holds_the_pool_lock(
+        self, monkeypatch
+    ):
+        pool = SessionPool(university_schema(ud_bound=100), pool_size=1)
+        building = threading.Event()
+        release = threading.Event()
+        original = SessionPool._build
+
+        def slow_build(schema):
+            building.set()
+            release.wait(10)
+            return original(schema)
+
+        monkeypatch.setattr(SessionPool, "_build", staticmethod(slow_build))
+        other = schema_to_dict(lookup_chain_workload(2).schema)
+        hot = b'{"query": "Udirectory(i, a, p)", "id": "hot"}\n'
+
+        async def exchange(address, line):
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(line)
+            await writer.drain()
+            return reader, writer
+
+        async def scenario():
+            server = await DecideServer(pool, port=0).start()
+            compiling = None
+            try:
+                await replies(server, [hot])  # now a loop hit
+                compiling = threading.Thread(
+                    target=pool.session, args=(other,)
+                )
+                compiling.start()
+                assert await asyncio.to_thread(building.wait, 30)
+                hot_conn = await exchange(server.address, hot)
+                ping_conn = await exchange(
+                    server.address, b'{"op": "ping", "id": "p"}\n'
+                )
+                pong = await asyncio.wait_for(ping_conn[0].readline(), 10)
+                # Answered while the compile still holds the lock: the
+                # hot frame could not take it, so it waits on the
+                # executor path, not on the loop.
+                assert compiling.is_alive()
+                release.set()
+                decided = await asyncio.wait_for(hot_conn[0].readline(), 30)
+                for __, writer in (hot_conn, ping_conn):
+                    writer.close()
+                return json.loads(pong), json.loads(decided), (
+                    server.server_stats()
+                )
+            finally:
+                release.set()
+                if compiling is not None:
+                    compiling.join(30)
+                await server.close()
+
+        pong, decided, stats = run(scenario())
+        assert pong == {"op": "pong", "id": "p"}
+        assert decided["decision"] == "yes" and decided["cached"] is True
+        assert decided["id"] == "hot"
+        assert stats["loop_hits"] == 0
+
+
+class TestSessionProbe:
+    def test_probe_miss_counts_nothing(self):
+        session = Session(university_schema(ud_bound=100))
+        assert session.probe("decide", "Udirectory(i, a, p)") is None
+        assert session.cache_info()["misses"] == 0
+
+    def test_text_key_lives_and_dies_with_its_entry(self):
+        session = Session(university_schema(ud_bound=100), cache_size=1)
+        session.decide("Udirectory(i, a, p)")
+        assert session.probe("decide", "Udirectory(i, a, p)").cached
+        assert session.probe("decide", "Udirectory(i, a, p)", True) is None
+        assert session.probe("plan", "Udirectory(i, a, p)") is None
+        session.decide("Prof(i, n, 10000)")  # evicts the first entry
+        assert session.probe("decide", "Udirectory(i, a, p)") is None
+        assert session.probe("decide", "Prof(i, n, 10000)").cached
+
+    def test_alpha_variants_share_the_entry_under_their_own_texts(self):
+        session = Session(university_schema(ud_bound=100))
+        texts = [f"Udirectory(i{n}, a, p)" for n in range(6)]
+        replies = [session.decide(text) for text in texts]
+        assert [reply.cached for reply in replies] == [False] + [True] * 5
+        assert session.cache_info()["size"] == 1
+        # The newest texts probe-hit, each with its own parsed repr;
+        # the oldest made room past the per-entry cap.
+        kept = texts[-MAX_TEXTS_PER_ENTRY:]
+        for text, reply in zip(texts, replies):
+            hit = session.probe("decide", text)
+            if text in kept:
+                assert hit.query == reply.query
+                assert comparable(hit.to_dict()) == comparable(
+                    reply.to_dict()
+                )
+            else:
+                assert hit is None
+
+    def test_uncacheable_sessions_never_probe_hit(self):
+        session = Session(university_schema(ud_bound=100), cache_size=0)
+        session.decide("Udirectory(i, a, p)")
+        assert session.probe("decide", "Udirectory(i, a, p)") is None
+
+    def test_text_index_survives_racing_threads(self):
+        # More threads than cores race decide/probe on alpha variants
+        # against a 2-entry LRU, so inserts, relinks and evictions
+        # interleave.  A lost update would break the hit/miss count or
+        # leave the text index out of step with the entries.
+        oracle = Session(university_schema(ud_bound=100))
+        bases = [
+            "Udirectory({v}, a, p)",
+            "Prof({v}, n, 10000)",
+            "Q() :- Udirectory({v}, a, p), Prof({v}, n, s)",
+        ]
+        texts = [
+            (base.format(v=f"i{n}"), oracle.decide(base.format(v="i")).decision)
+            for base in bases
+            for n in range(6)
+        ]
+        session = Session(university_schema(ud_bound=100), cache_size=2)
+        decides = [0] * 8
+        probe_hits = [0] * 8
+        wrong = []
+        errors = []
+
+        def hammer(index: int) -> None:
+            rng = random.Random(index)
+            try:
+                for __ in range(150):
+                    text, decision = rng.choice(texts)
+                    if rng.random() < 0.5:
+                        reply = session.probe("decide", text)
+                        if reply is None:
+                            continue
+                        probe_hits[index] += 1
+                    else:
+                        reply = session.decide(text)
+                        decides[index] += 1
+                    if reply.decision != decision:
+                        wrong.append((text, reply.decision))
+            except Exception as error:  # reported on the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert not wrong
+        info = session.cache_info()
+        # Every decide counts one hit or one miss; a direct probe counts
+        # a hit only when it returns one.
+        assert info["hits"] + info["misses"] == sum(decides) + sum(
+            probe_hits
+        )
+        with session._lock:
+            linked = {
+                text: key
+                for key, (__, entry_texts) in session._cache.items()
+                for text in entry_texts
+            }
+            indexed = {
+                text: key for text, (key, __) in session._texts.items()
+            }
+        assert linked == indexed
+        assert info["size"] <= 2
