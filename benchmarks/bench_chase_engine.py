@@ -4,15 +4,12 @@ Times the restricted chase on full-TGD closure workloads, existential
 TGD chains, FD merge cascades, and the semi-oblivious policy — the
 machinery every decider sits on.  Besides the pytest-benchmark tests,
 `collect_records` times every workload on both engines (``delta`` vs the
-``naive`` reference) plus, on the transitive-closure family, the delta
-engine on the object-executor matcher (``delta/object``) so the interned
-int-slot executor's speedup is measured in the same run on the same
-host.  ``main`` persists the comparison to ``BENCH_chase.json`` — the
-perf trajectory artifact future chase PRs regress against
-(`check_regression.py` gates the closure-family int-vs-object speedup
-at ≥2×).  Run it via ``python -m benchmarks --only chase``; ``--smoke``
-shrinks sizes for CI, ``--parallelism N`` routes every chase through
-the parallel trigger-collection pool.
+``naive`` reference), so the delta engine's speedup is measured in the
+same run on the same host.  ``main`` persists the comparison to
+``BENCH_chase.json`` — the perf trajectory artifact future chase
+changes regress against (`check_regression.py` gates the closure-family
+delta-vs-naive speedup at ≥5×).  Run it via ``python -m benchmarks
+--only chase``; ``--smoke`` shrinks sizes for CI.
 """
 
 import argparse
@@ -38,7 +35,7 @@ LARGE_SIZE = 240
 #: Per-(workload, engine) repeat counts for the JSON run: the naive
 #: engine is orders of magnitude slower on the large scaling points, so
 #: it gets a single measured run where delta gets best-of-3.
-_REPEATS = {"delta": 3, "naive": 1, "delta/object": 3}
+_REPEATS = {"delta": 3, "naive": 1}
 
 
 def _path(n):
@@ -51,20 +48,19 @@ def _closure_rules():
     return [tgd("E(x, y) -> T(x, y)"), tgd("T(x, y), E(y, z) -> T(x, z)")]
 
 
-def chase_workloads(*, smoke: bool = False, parallelism: int = 0):
+def chase_workloads(*, smoke: bool = False):
     """The scaling families timed by the JSON artifact.
 
     Each entry is ``(name, build)`` where ``build(engine, matcher=None)``
     runs one chase and returns its `ChaseResult`.  The
-    transitive-closure points are the family the ≥2× executor gate is
-    measured on; `LARGE_SIZE` is the "previously-impractical" scaling
+    transitive-closure points are the family the ≥5× delta-vs-naive gate
+    is measured on; `LARGE_SIZE` is the "previously-impractical" scaling
     point of the acceptance criterion (delta-only).
     """
 
     def runner(start, rules, **fixed):
         return lambda engine, matcher=None, s=start, r=rules: chase(
-            s, r, engine=engine, matcher=matcher, parallelism=parallelism,
-            **fixed,
+            s, r, engine=engine, matcher=matcher, **fixed
         )
 
     workloads = []
@@ -105,45 +101,31 @@ def _result_meta(result):
     }
 
 
-def collect_records(
-    engines=("delta", "naive"), *, smoke=False, parallelism=0
-):
+def collect_records(engines=("delta", "naive"), *, smoke=False):
     """Time every workload on every engine; return `BenchRecord` rows.
 
-    Besides the requested engines, every transitive-closure workload is
-    additionally timed as ``delta/object`` — the delta engine on a
-    `Matcher(execution="object")` — so the int-executor speedup is a
-    same-run, same-host ratio rather than a cross-commit wall-clock
-    comparison.  The naive reference is skipped on the `LARGE_SIZE`
+    Every run gets a fresh `Matcher`, so no run inherits another's
+    compiled plans.  The naive reference is skipped on the `LARGE_SIZE`
     closure point (it needs minutes there; that point exists precisely
-    because the delta+int engine makes it practical).
+    because the delta engine makes it practical).
     """
     records: list[BenchRecord] = []
     host_cpus = os.cpu_count()
-    for name, build in chase_workloads(smoke=smoke, parallelism=parallelism):
-        is_closure = name.startswith("transitive-closure")
+    for name, build in chase_workloads(smoke=smoke):
         runs = list(engines)
-        if is_closure:
-            runs.append("delta/object")
         if name == f"transitive-closure-n{LARGE_SIZE}" and "naive" in runs:
             runs.remove("naive")
         for engine in runs:
-            matcher_of = (
-                (lambda: Matcher(execution="object"))
-                if engine == "delta/object"
-                else (lambda: Matcher(execution="int"))
-            )
             record = time_workload(
                 f"{name}",
-                lambda build=build, engine=engine, matcher_of=matcher_of: (
-                    build(engine.split("/")[0], matcher=matcher_of())
+                lambda build=build, engine=engine: (
+                    build(engine, matcher=Matcher())
                 ),
-                repeat=_REPEATS.get(engine, 1),
+                repeat=_REPEATS[engine],
                 meta_of=_result_meta,
             )
             record.meta["engine"] = engine
             record.meta["host_cpus"] = host_cpus
-            record.meta["parallelism"] = parallelism
             records.append(record)
             print(
                 f"  {name:32s} {engine:12s} "
@@ -171,7 +153,7 @@ def _speedups(records, reference_engine, target_engine="delta"):
 
 
 def main(argv: list[str] | None = None) -> None:
-    """Regenerate BENCH_chase.json (delta vs naive vs object executor)."""
+    """Regenerate BENCH_chase.json (delta vs naive engine)."""
     parser = argparse.ArgumentParser(prog="bench_chase_engine")
     parser.add_argument(
         "--smoke",
@@ -180,22 +162,12 @@ def main(argv: list[str] | None = None) -> None:
         "sidecar unless --out is given)",
     )
     parser.add_argument("--out", default=None, help="output path override")
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=0,
-        help="chase trigger-collection worker threads (0 = sequential; "
-        "the CI smoke step passes 2 to exercise the parallel engine)",
-    )
     args = parser.parse_args(argv)
 
     mode = "smoke" if args.smoke else "full"
-    print(
-        f"chase engine benchmark ({mode}, parallelism={args.parallelism}):"
-    )
-    records = collect_records(smoke=args.smoke, parallelism=args.parallelism)
+    print(f"chase engine benchmark ({mode}):")
+    records = collect_records(smoke=args.smoke)
     delta_vs_naive = _speedups(records, "naive")
-    int_vs_object = _speedups(records, "delta/object")
     if args.out:
         out = Path(args.out)
     elif args.smoke:
@@ -208,14 +180,11 @@ def main(argv: list[str] | None = None) -> None:
         extra={
             "smoke": args.smoke,
             "host_cpus": os.cpu_count(),
-            "parallelism": args.parallelism,
             "speedups_delta_vs_naive": delta_vs_naive,
-            "speedups_int_vs_object": int_vs_object,
         },
         path=out,
     )
     print(f"speedups (delta vs naive): {delta_vs_naive}")
-    print(f"speedups (int vs object executor): {int_vs_object}")
     print(f"wrote {target}")
 
 

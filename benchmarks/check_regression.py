@@ -16,10 +16,11 @@ working-tree file:
   ``1 / tolerance`` × the committed ``best_seconds``, with sub-``--min-
   seconds`` timings clamped up to the noise floor first (microsecond
   workloads flap on scheduler jitter, not regressions);
-* the chase artifact's ``speedups_int_vs_object`` map must keep a
-  median ≥ `CLOSURE_SPEEDUP_FLOOR` (2×) across the transitive-closure
-  family — the interned-executor speedup is a same-run, same-host
-  ratio, so it is gated absolutely, not against the committed copy;
+* the chase artifact's ``speedups_delta_vs_naive`` map must keep a
+  median ≥ `CLOSURE_SPEEDUP_FLOOR` (5×) across the transitive-closure
+  family — the delta engine's speedup over the naive reference is a
+  same-run, same-host ratio, so it is gated absolutely, not against the
+  committed copy;
 * the service artifact must record ``warm-restart`` workloads whose
   best cold-vs-warm ratio stays ≥ `WARM_RESTART_SPEEDUP_FLOOR` (5×) —
   same-run, same-host, so gated absolutely as well;
@@ -40,10 +41,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: The interned int-slot executor must stay ≥2× the object executor on
-#: the transitive-closure family (median over the family's sizes — the
-#: smallest point sits near the crossover and is noise-dominated).
-CLOSURE_SPEEDUP_FLOOR = 2.0
+#: The delta engine must stay ≥5× the naive reference chase on the
+#: transitive-closure family (median over the family's sizes — the
+#: smallest point has too few rounds for the gap to open).
+CLOSURE_SPEEDUP_FLOOR = 5.0
 
 #: A warm restart over the durable store must stay ≥5× faster than the
 #: cold restart on the best service family (gated absolutely — it is a
@@ -109,17 +110,17 @@ def compare(
 
 
 def check_closure_speedup(fresh: dict):
-    """Gate the chase artifact's int-vs-object closure-family speedup.
+    """Gate the chase artifact's delta-vs-naive closure-family speedup.
 
     Yields (workload, message) when the fresh run's median
     transitive-closure speedup falls below `CLOSURE_SPEEDUP_FLOOR`, or
     when the field vanished (a regenerated artifact that stopped
     measuring the ratio must not silently pass).
     """
-    speedups = fresh.get("speedups_int_vs_object")
+    speedups = fresh.get("speedups_delta_vs_naive")
     if speedups is None:
-        yield "speedups_int_vs_object", (
-            "field missing from the fresh chase artifact (the executor "
+        yield "speedups_delta_vs_naive", (
+            "field missing from the fresh chase artifact (the engine "
             "comparison was not measured)"
         )
         return
@@ -129,12 +130,12 @@ def check_closure_speedup(fresh: dict):
         if name.startswith("transitive-closure")
     )
     if not closure:
-        yield "speedups_int_vs_object", "no transitive-closure entries"
+        yield "speedups_delta_vs_naive", "no transitive-closure entries"
         return
     median = closure[len(closure) // 2]
     if median < CLOSURE_SPEEDUP_FLOOR:
-        yield "speedups_int_vs_object", (
-            f"median closure-family int-vs-object speedup {median}x fell "
+        yield "speedups_delta_vs_naive", (
+            f"median closure-family delta-vs-naive speedup {median}x fell "
             f"below the {CLOSURE_SPEEDUP_FLOOR}x floor (all: {speedups})"
         )
 

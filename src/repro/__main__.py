@@ -123,14 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "rewriting (the pruned UCQ is logically equivalent; this "
             "opt-out restores the raw rewriting output)",
         )
-        subparser.add_argument(
-            "--chase-parallelism",
-            type=int,
-            default=0,
-            help="worker threads for the chase's per-round trigger "
-            "collection (0/1 = sequential; results are identical for "
-            "every setting)",
-        )
 
     def add_cache_dir(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
@@ -509,7 +501,6 @@ def _session(args: argparse.Namespace) -> Session:
         max_facts=args.max_facts,
         max_disjuncts=args.max_disjuncts,
         subsumption=not args.no_subsumption,
-        chase_parallelism=args.chase_parallelism,
         store=_open_store(args),
     )
 
@@ -563,7 +554,6 @@ def _limits(args: argparse.Namespace) -> SessionLimits:
         max_facts=args.max_facts,
         max_disjuncts=args.max_disjuncts,
         subsumption=not args.no_subsumption,
-        chase_parallelism=getattr(args, "chase_parallelism", 0),
         deadline_ms=getattr(args, "request_deadline", None),
     )
 
@@ -763,7 +753,6 @@ def _worker_serve_args(
     argv += ["--max-disjuncts", str(args.max_disjuncts)]
     if args.no_subsumption:
         argv.append("--no-subsumption")
-    argv += ["--chase-parallelism", str(args.chase_parallelism)]
     argv += ["--drain-timeout", str(args.drain_timeout)]
     if args.request_deadline is not None:
         argv += ["--request-deadline", str(args.request_deadline)]

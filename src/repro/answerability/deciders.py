@@ -102,7 +102,6 @@ def _chase_containment(
     engine: str = "delta",
     matcher=None,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> Decision:
     """Run the containment chase from an explicit start instance.
 
@@ -129,7 +128,6 @@ def _chase_containment(
         engine=engine,
         matcher=matcher,
         budget=budget,
-        parallelism=parallelism,
     )
     if result.outcome is ChaseOutcome.FAILED:
         return Decision.yes(
@@ -169,7 +167,6 @@ def decide_with_fds(
     max_rounds: Optional[int] = 500,
     max_facts: int = DEFAULT_CHASE_FACTS,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> Decision:
     """Monotone answerability for FD constraints (NP, Thm 5.2).
 
@@ -189,7 +186,6 @@ def decide_with_fds(
         max_facts=max_facts,
         matcher=compiled.matcher(),
         budget=budget,
-        parallelism=parallelism,
     )
     decision.detail["simplification"] = simplified.kind
     return decision
@@ -208,7 +204,6 @@ def decide_with_ids(
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
     subsumption: bool = True,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> Decision:
     """Monotone answerability for ID constraints.
 
@@ -238,7 +233,6 @@ def decide_with_ids(
             max_facts=max_facts,
             matcher=compiled.matcher(),
             budget=budget,
-            parallelism=parallelism,
         )
         decision.detail["route"] = "chase"
         return decision
@@ -349,7 +343,6 @@ def decide_with_uids_and_fds(
     max_rounds: Optional[int] = DEFAULT_CHASE_ROUNDS,
     max_facts: int = DEFAULT_CHASE_FACTS,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> Decision:
     """Monotone answerability for UIDs + FDs (Thm 7.2).
 
@@ -382,7 +375,6 @@ def decide_with_uids_and_fds(
         max_facts=max_facts,
         matcher=compiled.matcher(),
         budget=budget,
-        parallelism=parallelism,
     )
     decision.detail["simplification"] = "choice+separability"
     return decision
@@ -398,7 +390,6 @@ def decide_with_choice_simplification(
     max_rounds: Optional[int] = DEFAULT_CHASE_ROUNDS,
     max_facts: int = DEFAULT_CHASE_FACTS,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> Decision:
     """Monotone answerability via choice simplification (TGD classes).
 
@@ -417,7 +408,6 @@ def decide_with_choice_simplification(
         max_facts=max_facts,
         matcher=compiled.matcher(),
         budget=budget,
-        parallelism=parallelism,
     )
     decision.detail["simplification"] = "choice"
     return decision
@@ -460,7 +450,6 @@ def decide_monotone_answerability(
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
     subsumption: bool = True,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> AnswerabilityResult:
     """Decide monotone answerability, dispatching on the constraint class.
 
@@ -486,7 +475,6 @@ def decide_monotone_answerability(
                 query,
                 max_facts=max_facts,
                 budget=budget,
-                parallelism=parallelism,
             ),
             "fd-simplification",
             fragment,
@@ -503,7 +491,6 @@ def decide_monotone_answerability(
                 max_disjuncts=max_disjuncts,
                 subsumption=subsumption,
                 budget=budget,
-                parallelism=parallelism,
             ),
             "linearization",
             fragment,
@@ -516,7 +503,6 @@ def decide_monotone_answerability(
                 max_rounds=max_rounds,
                 max_facts=max_facts,
                 budget=budget,
-                parallelism=parallelism,
             ),
             "choice+separability",
             fragment,
@@ -534,7 +520,6 @@ def decide_monotone_answerability(
                 max_rounds=max_rounds,
                 max_facts=max_facts,
                 budget=budget,
-                parallelism=parallelism,
             ),
             "choice-simplification",
             fragment,
@@ -551,7 +536,6 @@ def decide_monotone_answerability(
             max_facts=max_facts,
             matcher=compiled.matcher(),
             budget=budget,
-            parallelism=parallelism,
         )
         return AnswerabilityResult(decision, "direct", fragment)
     return AnswerabilityResult(

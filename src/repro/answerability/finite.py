@@ -74,7 +74,6 @@ def decide_finite_monotone_answerability(
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
     subsumption: bool = True,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> AnswerabilityResult:
     """Decide monotone answerability over *finite* instances.
 
@@ -95,7 +94,6 @@ def decide_finite_monotone_answerability(
             max_disjuncts=max_disjuncts,
             subsumption=subsumption,
             budget=budget,
-            parallelism=parallelism,
         )
         result.decision.detail["finite_variant"] = (
             "delegated (finitely controllable, Prop 2.2)"
@@ -109,7 +107,6 @@ def decide_finite_monotone_answerability(
             max_rounds=max_rounds,
             max_facts=max_facts,
             budget=budget,
-            parallelism=parallelism,
         )
         decision.detail["finite_variant"] = (
             "finite closure Σ* (Cor 7.3 / Thm 7.4)"

@@ -58,7 +58,6 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -74,7 +73,7 @@ from ..matching.intexec import (
     int_slot_search,
 )
 from ..obs.timing import stage
-from ..matching.matcher import default_matcher
+from ..matching.matcher import Matcher, default_matcher
 from ..runtime import Budget
 
 Dependency = Union[TGD, EGD, FunctionalDependency]
@@ -760,7 +759,7 @@ def _collect_restricted_obj(
     record_env: bool,
 ) -> tuple[list, int, int]:
     """Restricted collection for one rule over dict environments (the
-    path taken for matchers without an int executor, e.g. the naive
+    path taken for any matcher that is not a `Matcher`, i.e. the naive
     reference matcher).  Mirrors `_collect_restricted_int` exactly."""
     dependency = exec_.dependency
     body = dependency.body
@@ -810,20 +809,15 @@ def _chase_delta(
     stop_when: Optional[Callable[[Instance], bool]],
     matcher,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> ChaseResult:
     """Semi-naive chase: only delta-touching triggers are enumerated.
 
     Each round is a collect/fire pair.  Collection — the read-only
-    enumeration of delta-touching triggers — is sharded **per rule**:
-    every rule's seeds, dedup set, and (semi-oblivious) fired registry
-    are rule-local, so the per-rule collectors are independent and,
-    when ``parallelism > 1``, run on a thread pool.  Collector results
-    are merged in rule-index order, which reproduces the sequential
-    engine's firing order exactly: the merged pending list is
-    identical whatever the thread schedule, so parallel runs are
-    deterministic (and null names match the sequential engine's,
-    because heads are instantiated at *firing* time, in merged order).
+    enumeration of delta-touching triggers — runs **per rule**: every
+    rule's seeds, dedup set, and (semi-oblivious) fired registry are
+    rule-local.  Collector results are concatenated in rule-index
+    order, which reproduces the naive engine's firing order (heads are
+    instantiated at *firing* time, in that order).
     """
     stats = ChaseStats()
     steps: Optional[list[ChaseStep]] = [] if record_steps else None
@@ -843,14 +837,8 @@ def _chase_delta(
     fired: dict[int, set[tuple]] = {
         index: set() for index in range(len(tgds))
     }
-    use_int = getattr(matcher, "execution", None) == "int"
+    use_int = isinstance(matcher, Matcher)
     record_env = steps is not None
-    pool: Optional[ThreadPoolExecutor] = None
-    if parallelism > 1 and len(tgds) > 1:
-        pool = ThreadPoolExecutor(
-            max_workers=min(parallelism, len(tgds)),
-            thread_name_prefix="chase-collect",
-        )
     rounds = 0
 
     def result(outcome: ChaseOutcome) -> ChaseResult:
@@ -875,123 +863,109 @@ def _chase_delta(
         )
 
     try:
+        state.apply_equalities(0)
+    except _Unsatisfiable:
+        return result(ChaseOutcome.FAILED)
+    if stop_when is not None and stop_when(state.instance):
+        return result(ChaseOutcome.EARLY_STOP)
+
+    while True:
+        # Cooperative cancellation: the round boundary is the chase's
+        # coarse check; matcher calls below carry the budget for the
+        # fine-grained (per backtrack batch) checks inside a round.
+        if budget is not None:
+            budget.check()
+        if max_rounds is not None and rounds >= max_rounds:
+            return result(ChaseOutcome.BOUND_REACHED)
+        rounds += 1
+        # Bucket the delta's seeds per rule as (atom index, fact,
+        # interned row) triples; unification against the body atom
+        # happens inside the collectors (in int space on the int
+        # path).  A trigger can be reachable from several of its
+        # delta facts; the rule-local dedup sets collapse the
+        # duplicates.
+        delta = state.take_trigger_delta()
+        instance = state.instance
+        term_ids = instance._term_ids
+        seeds_by_rule: dict[int, list] = {}
+        for fact in delta:
+            if fact not in instance:
+                continue  # rewritten away by a later merge
+            targets = body_map.get(fact.relation)
+            if not targets:
+                continue
+            row = tuple(term_ids[term] for term in fact.terms)
+            for rule_index, atom_index in targets:
+                seeds_by_rule.setdefault(rule_index, []).append(
+                    (atom_index, fact, row)
+                )
+
+        # Collect per rule and merge in rule order (the naive engine's
+        # order): under the restricted policy the firing-time re-check
+        # makes a round's outcome depend on firing order, so matching
+        # the reference order keeps the engines interchangeable.
+        pending: list = []
+        for rule_index in sorted(seeds_by_rule):
+            entries, enumerated, head_checks = collect(
+                rule_index, seeds_by_rule[rule_index]
+            )
+            pending.extend(entries)
+            stats.triggers_enumerated += enumerated
+            stats.head_checks += head_checks
+
+        added_any = False
+        id_terms = instance.id_terms
+        for __, dependency, trigger, exported, head_rows in pending:
+            if policy == "restricted":
+                # Re-check activeness: an earlier firing in this
+                # round may already satisfy this trigger.  Full-TGD
+                # entries re-probe their instantiated head rows
+                # directly; the rest go through the matcher's
+                # generation-tagged check cache.
+                stats.head_checks += 1
+                if head_rows is not None:
+                    if _head_rows_present(instance, head_rows):
+                        continue
+                elif matcher.has(
+                    dependency.head, instance, seed=exported
+                ):
+                    continue
+            if head_rows is not None:
+                # Full TGD with fully interned head rows: the
+                # produced facts are the rows read back through the
+                # interner — no substitution pass needed.
+                produced = tuple(
+                    Atom(
+                        relation,
+                        tuple(id_terms[value] for value in row),
+                    )
+                    for relation, row in head_rows
+                )
+            else:
+                produced = _instantiate_head(
+                    dependency, trigger, factory
+                )
+            new_here = [f for f in produced if state._add(f)]
+            if new_here:
+                added_any = True
+                if steps is not None:
+                    steps.append(
+                        TGDStep(
+                            dependency, trigger, tuple(new_here), rounds
+                        )
+                    )
+            if max_facts is not None and len(instance) > max_facts:
+                return result(ChaseOutcome.BOUND_REACHED)
+
         try:
-            state.apply_equalities(0)
+            state.apply_equalities(rounds)
         except _Unsatisfiable:
             return result(ChaseOutcome.FAILED)
+
         if stop_when is not None and stop_when(state.instance):
             return result(ChaseOutcome.EARLY_STOP)
-
-        while True:
-            # Cooperative cancellation: the round boundary is the chase's
-            # coarse check; matcher calls below carry the budget for the
-            # fine-grained (per backtrack batch) checks inside a round.
-            if budget is not None:
-                budget.check()
-            if max_rounds is not None and rounds >= max_rounds:
-                return result(ChaseOutcome.BOUND_REACHED)
-            rounds += 1
-            # Bucket the delta's seeds per rule as (atom index, fact,
-            # interned row) triples; unification against the body atom
-            # happens inside the collectors (in int space on the int
-            # path).  A trigger can be reachable from several of its
-            # delta facts; the rule-local dedup sets collapse the
-            # duplicates.
-            delta = state.take_trigger_delta()
-            instance = state.instance
-            term_ids = instance._term_ids
-            seeds_by_rule: dict[int, list] = {}
-            for fact in delta:
-                if fact not in instance:
-                    continue  # rewritten away by a later merge
-                targets = body_map.get(fact.relation)
-                if not targets:
-                    continue
-                row = tuple(term_ids[term] for term in fact.terms)
-                for rule_index, atom_index in targets:
-                    seeds_by_rule.setdefault(rule_index, []).append(
-                        (atom_index, fact, row)
-                    )
-
-            # Collect per rule — in parallel when a pool is up — and
-            # merge in rule order (the naive engine's order): under the
-            # restricted policy the firing-time re-check makes a round's
-            # outcome depend on firing order, so matching the reference
-            # order keeps engines and thread counts interchangeable.
-            active = sorted(seeds_by_rule)
-            if pool is not None and len(active) > 1:
-                futures = [
-                    pool.submit(collect, rule_index, seeds_by_rule[rule_index])
-                    for rule_index in active
-                ]
-                collected = [future.result() for future in futures]
-            else:
-                collected = [
-                    collect(rule_index, seeds_by_rule[rule_index])
-                    for rule_index in active
-                ]
-            pending: list = []
-            for entries, enumerated, head_checks in collected:
-                pending.extend(entries)
-                stats.triggers_enumerated += enumerated
-                stats.head_checks += head_checks
-
-            added_any = False
-            id_terms = instance.id_terms
-            for __, dependency, trigger, exported, head_rows in pending:
-                if policy == "restricted":
-                    # Re-check activeness: an earlier firing in this
-                    # round may already satisfy this trigger.  Full-TGD
-                    # entries re-probe their instantiated head rows
-                    # directly; the rest go through the matcher's
-                    # generation-tagged check cache.
-                    stats.head_checks += 1
-                    if head_rows is not None:
-                        if _head_rows_present(instance, head_rows):
-                            continue
-                    elif matcher.has(
-                        dependency.head, instance, seed=exported
-                    ):
-                        continue
-                if head_rows is not None:
-                    # Full TGD with fully interned head rows: the
-                    # produced facts are the rows read back through the
-                    # interner — no substitution pass needed.
-                    produced = tuple(
-                        Atom(
-                            relation,
-                            tuple(id_terms[value] for value in row),
-                        )
-                        for relation, row in head_rows
-                    )
-                else:
-                    produced = _instantiate_head(
-                        dependency, trigger, factory
-                    )
-                new_here = [f for f in produced if state._add(f)]
-                if new_here:
-                    added_any = True
-                    if steps is not None:
-                        steps.append(
-                            TGDStep(
-                                dependency, trigger, tuple(new_here), rounds
-                            )
-                        )
-                if max_facts is not None and len(instance) > max_facts:
-                    return result(ChaseOutcome.BOUND_REACHED)
-
-            try:
-                state.apply_equalities(rounds)
-            except _Unsatisfiable:
-                return result(ChaseOutcome.FAILED)
-
-            if stop_when is not None and stop_when(state.instance):
-                return result(ChaseOutcome.EARLY_STOP)
-            if not added_any:
-                return result(ChaseOutcome.FIXPOINT)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        if not added_any:
+            return result(ChaseOutcome.FIXPOINT)
 
 
 # ----------------------------------------------------------------------
@@ -1012,14 +986,8 @@ def _chase_naive(
     stop_when: Optional[Callable[[Instance], bool]],
     matcher,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> ChaseResult:
-    """Round-based reference chase: full re-enumeration every round.
-
-    ``parallelism`` is accepted for signature parity with the delta
-    engine and ignored: the reference engine stays strictly sequential
-    so cross-checks compare against an unsharded specification.
-    """
+    """Round-based reference chase: full re-enumeration every round."""
     stats = ChaseStats()
     instance = start.copy()
     steps: Optional[list[ChaseStep]] = [] if record_steps else None
@@ -1120,7 +1088,6 @@ def chase(
     engine: str = "delta",
     matcher=None,
     budget: Optional[Budget] = None,
-    parallelism: int = 0,
 ) -> ChaseResult:
     """Chase `start` with the dependencies.
 
@@ -1154,23 +1121,11 @@ def chase(
     and threaded into the matcher's trigger searches, so an exhausted
     deadline raises `repro.runtime.DeadlineExceeded` out of the chase
     within one backtrack batch.
-
-    ``parallelism`` shards each round's trigger *collection* (the
-    read-only enumeration phase) by rule across a thread pool of that
-    many workers.  ``0`` (the default) and ``1`` run sequentially;
-    results are deterministic and identical for every value, because
-    per-rule results are merged in rule order before any fact is added
-    (the firing phase stays sequential).  Only the delta engine
-    parallelizes; the naive reference engine ignores the setting.
     """
     if policy not in ("restricted", "semi_oblivious"):
         raise ValueError(f"unknown chase policy: {policy}")
     if engine not in ("delta", "naive"):
         raise ValueError(f"unknown chase engine: {engine}")
-    if parallelism < 0:
-        raise ValueError(
-            f"parallelism must be non-negative, got {parallelism}"
-        )
     tgds = [d for d in dependencies if isinstance(d, TGD)]
     equality_deps = [
         d
@@ -1192,7 +1147,6 @@ def chase(
             stop_when=stop_when,
             matcher=matcher if matcher is not None else default_matcher(),
             budget=budget,
-            parallelism=parallelism,
         )
 
 

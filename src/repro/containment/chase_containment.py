@@ -80,7 +80,6 @@ def contains(
     policy: str = "restricted",
     engine: str = "delta",
     matcher=None,
-    parallelism: int = 0,
 ) -> Decision:
     """Decide ``query ⊆_dependencies target`` by chasing.
 
@@ -91,8 +90,7 @@ def contains(
     — pass a `CompiledSchema`'s matcher to share compiled plans across
     calls.  The per-round target probe goes through the matcher's check
     cache, so rounds that do not touch the target's relations skip the
-    match search entirely.  ``parallelism`` shards the chase rounds'
-    trigger collection by rule (see `repro.chase.engine.chase`).
+    match search entirely.
     """
     dependencies = list(dependencies)
     canonical, __ = query.canonical_instance()
@@ -121,7 +119,6 @@ def contains(
         stop_when=target_holds,
         engine=engine,
         matcher=matcher,
-        parallelism=parallelism,
     )
     if result.outcome is ChaseOutcome.FAILED:
         return Decision.yes(
@@ -165,7 +162,6 @@ def certain_answer_boolean(
     max_facts: Optional[int] = DEFAULT_MAX_FACTS,
     engine: str = "delta",
     matcher=None,
-    parallelism: int = 0,
 ) -> Decision:
     """Certain-answer test: does `query` hold in every model of the
     dependencies containing `instance`?
@@ -185,7 +181,6 @@ def certain_answer_boolean(
         stop_when=lambda inst: matcher.has(query.atoms, inst),
         engine=engine,
         matcher=matcher,
-        parallelism=parallelism,
     )
     if result.outcome is ChaseOutcome.FAILED:
         return Decision.yes("constraints unsatisfiable on the accessed data")

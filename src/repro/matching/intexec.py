@@ -1,9 +1,9 @@
 """Int-space plan execution: interned rows, flat steps, slot arrays.
 
-The object executors in `repro.matching.matcher` run `MatchPlan`s over
-dict environments keyed by `Term` objects and candidate sets of boxed
-`Atom`s — every probe hashes frozen dataclasses.  This module executes
-the *same* plans entirely in int space:
+`Matcher` runs every compiled `MatchPlan` through this module.  A
+term-space search would keep dict environments keyed by `Term` objects
+and candidate sets of boxed `Atom`s, hashing frozen dataclasses on every
+probe; the executors here run the plans entirely in int space:
 
 * `Instance` interns every ground term to a dense int on first
   appearance and mirrors each fact as a tuple-of-int row with parallel
@@ -26,12 +26,12 @@ The lowering is cached on the plan (`MatchPlan.int_plan`); compiling is
 idempotent, so a benign race between two threads lowering the same plan
 at worst duplicates the small amount of work.
 
-The executors are behaviourally identical to the object ones — same
-enumeration order (both walk the same candidate buckets in the same
-plan order), same skip-set contract for distinct enumeration (keys are
-tuples of ground *terms*, not ids, so registries remain meaningful
-across instances) — which the interning round-trip property suite in
-``tests/matching/test_intexec.py`` pins down.
+The executors return the same match sets as the reference
+`repro.matching.naive.NaiveMatcher`, and distinct enumeration keeps the
+term-space skip-set contract (keys are tuples of ground *terms*, not
+ids, so registries remain meaningful across instances); the property
+suite in ``tests/matching/test_intexec.py`` pins both down against the
+reference.
 """
 
 from __future__ import annotations
@@ -568,7 +568,8 @@ def int_distinct_search(
     seed: Optional[Mapping[Term, GroundTerm]],
     budget: Optional[Budget],
 ) -> Iterator[Assignment]:
-    """Int-space twin of `matcher._distinct_search`.
+    """One full match per distinct projection on ``on`` (the engine of
+    `Matcher.distinct_matches`).
 
     Projection keys are externed back to ground-term tuples before the
     ``skip`` test, so registries passed across calls (the chase's

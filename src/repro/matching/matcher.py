@@ -78,7 +78,7 @@ FROZEN_ISO_CACHE_SIZE = 1024
 
 
 # ----------------------------------------------------------------------
-# Plan executors (module-level: shared by every Matcher)
+# Term-space isomorphism search (plan execution itself is in `intexec`)
 # ----------------------------------------------------------------------
 def _probe(entry, instance: Instance, assignment: Mapping) -> bool:
     """Membership test for an atom ground under the plan."""
@@ -116,95 +116,6 @@ def _candidates(entry, instance: Instance, assignment: Mapping) -> Iterable[Atom
     return instance.facts_of(entry.relation)
 
 
-def _extend(entry, fact: Atom, assignment: Assignment):
-    """Bind the atom onto the fact; return newly bound terms or None."""
-    terms = fact.terms
-    if len(terms) != entry.arity:
-        return None
-    for position, term in entry.rigid:
-        if terms[position] != term:
-            return None
-    for position, term in entry.bound_checks:
-        if assignment[term] != terms[position]:
-            return None
-    newly: list[Term] = []
-    for position, term in entry.binds:
-        value = terms[position]
-        current = assignment.get(term)
-        if current is None:
-            assignment[term] = value
-            newly.append(term)
-        elif current != value:
-            for t in newly:
-                del assignment[t]
-            return None
-    return newly
-
-
-def _search(
-    plan: MatchPlan,
-    instance: Instance,
-    assignment: Assignment,
-    depth: int,
-    budget: Optional[Budget] = None,
-) -> Iterator[Assignment]:
-    """Enumerate all extensions of `assignment` from `depth` on.
-
-    ``budget`` (when given) is ticked once per candidate fact tried —
-    the per-backtrack-batch cancellation point of plan execution.
-    """
-    compiled = plan.compiled
-    if depth == len(compiled):
-        yield dict(assignment)
-        return
-    entry = compiled[depth]
-    if entry.probe_template is not None:
-        if _probe(entry, instance, assignment):
-            yield from _search(plan, instance, assignment, depth + 1, budget)
-        return
-    for fact in _candidates(entry, instance, assignment):
-        if budget is not None:
-            budget.tick()
-        newly = _extend(entry, fact, assignment)
-        if newly is None:
-            continue
-        yield from _search(plan, instance, assignment, depth + 1, budget)
-        for term in newly:
-            del assignment[term]
-
-
-def _find_one(
-    plan: MatchPlan,
-    instance: Instance,
-    assignment: Assignment,
-    depth: int,
-    trail: list[Term],
-    budget: Optional[Budget] = None,
-) -> bool:
-    """Find one completion; on success the bindings stay in `assignment`
-    (their terms appended to `trail`), on failure everything unwinds."""
-    compiled = plan.compiled
-    if depth == len(compiled):
-        return True
-    entry = compiled[depth]
-    if entry.probe_template is not None:
-        return _probe(entry, instance, assignment) and _find_one(
-            plan, instance, assignment, depth + 1, trail, budget
-        )
-    for fact in _candidates(entry, instance, assignment):
-        if budget is not None:
-            budget.tick()
-        newly = _extend(entry, fact, assignment)
-        if newly is None:
-            continue
-        if _find_one(plan, instance, assignment, depth + 1, trail, budget):
-            trail.extend(newly)
-            return True
-        for term in newly:
-            del assignment[term]
-    return False
-
-
 def _find_injective(
     plan: MatchPlan,
     instance: Instance,
@@ -213,7 +124,7 @@ def _find_injective(
     targets: frozenset[GroundTerm],
     depth: int,
 ) -> bool:
-    """`_find_one` restricted to injective, `targets`-valued bindings."""
+    """Find one injective, `targets`-valued completion of `assignment`."""
     compiled = plan.compiled
     if depth == len(compiled):
         return True
@@ -310,18 +221,9 @@ class Matcher:
         *,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         check_cache_limit: int = DEFAULT_CHECK_CACHE_LIMIT,
-        execution: str = "int",
     ) -> None:
-        if execution not in ("int", "object"):
-            raise ValueError(
-                f"execution must be 'int' or 'object', got {execution!r}"
-            )
         self.plan_cache_size = plan_cache_size
         self.check_cache_limit = check_cache_limit
-        #: Which executor family runs the plans: "int" (interned rows,
-        #: slot arrays — the default) or "object" (the historical dict
-        #: environments, kept as the round-trip oracle).
-        self.execution = execution
         self._plans: OrderedDict[tuple, MatchPlan] = OrderedDict()
         self._frozen_iso: OrderedDict[
             tuple, tuple[Instance, frozenset]
@@ -418,10 +320,7 @@ class Matcher:
             atoms, instance, seed=seed, flexible_nulls=flexible_nulls
         )
         self._counters["enumerations"] += 1
-        if self.execution == "int":
-            return int_search(plan, instance, seed, budget)
-        assignment: Assignment = dict(seed) if seed else {}
-        return _search(plan, instance, assignment, 0, budget)
+        return int_search(plan, instance, seed, budget)
 
     def find(
         self,
@@ -436,12 +335,7 @@ class Matcher:
         plan = self.plan_for(
             atoms, instance, seed=seed, flexible_nulls=flexible_nulls
         )
-        if self.execution == "int":
-            return int_find(plan, instance, seed, budget)
-        assignment: Assignment = dict(seed) if seed else {}
-        if _find_one(plan, instance, assignment, 0, [], budget):
-            return assignment
-        return None
+        return int_find(plan, instance, seed, budget)
 
     def has(
         self,
@@ -472,13 +366,7 @@ class Matcher:
         counters["checks"] += 1
         if plan.all_ground:
             counters["ground_probe_checks"] += 1
-            if self.execution == "int":
-                return int_ground_probe(plan, instance, seed)
-            assignment = seed if seed is not None else {}
-            return all(
-                _probe(entry, instance, assignment)
-                for entry in plan.compiled
-            )
+            return int_ground_probe(plan, instance, seed)
         cache = instance.match_cache
         generations = instance.generations(plan.relations)
         key = (plan.key, frozenset(seed.items()) if seed else None)
@@ -487,11 +375,7 @@ class Matcher:
             counters["check_hits"] += 1
             return entry[0]
         counters["check_misses"] += 1
-        if self.execution == "int":
-            result = int_has(plan, instance, seed, budget)
-        else:
-            assignment = dict(seed) if seed else {}
-            result = _find_one(plan, instance, assignment, 0, [], budget)
+        result = int_has(plan, instance, seed, budget)
         # Concurrency note (the tests/concurrency battery leans on
         # this): the cache is deliberately lock-free.  Entries are
         # tagged with the generations read *before* the search — if
@@ -538,13 +422,8 @@ class Matcher:
         if skip is None:
             skip = set()
         self._counters["distinct_enumerations"] += 1
-        if self.execution == "int":
-            return int_distinct_search(
-                plan, instance, on, bound_depth, skip, seed, budget
-            )
-        assignment: Assignment = dict(seed) if seed else {}
-        return _distinct_search(
-            plan, instance, assignment, on, bound_depth, skip, budget
+        return int_distinct_search(
+            plan, instance, on, bound_depth, skip, seed, budget
         )
 
     # -- query-shape predicates ---------------------------------------
@@ -615,85 +494,19 @@ class Matcher:
         self._counters["subsumption_checks"] += 1
         if plan is None:
             plan = self.plan_for(tuple(atoms), frozen)
-        if self.execution == "int":
-            return int_has(plan, frozen, None, None)
-        return _find_one(plan, frozen, {}, 0, [])
+        return int_has(plan, frozen, None, None)
 
     # -- diagnostics ---------------------------------------------------
     def stats(self) -> dict:
         """Plan/check cache traffic counters (approximate under races)."""
         return {
             "strategy": "planned",
-            "executor": self.execution,
             "plans_cached": len(self._plans),
             **self._counters,
         }
 
     def __repr__(self) -> str:
         return f"Matcher({len(self._plans)} plans cached)"
-
-
-def _distinct_search(
-    plan: MatchPlan,
-    instance: Instance,
-    assignment: Assignment,
-    on: tuple[Term, ...],
-    bound_depth: int,
-    skip: set,
-    budget: Optional[Budget] = None,
-) -> Iterator[Assignment]:
-    compiled = plan.compiled
-
-    def emit() -> Optional[Assignment]:
-        """Projection complete: reject seen keys, else find one
-        completion of the remaining atoms and record the key."""
-        key = tuple(assignment[t] for t in on)
-        if key in skip:
-            return None
-        trail: list[Term] = []
-        if _find_one(
-            plan, instance, assignment, bound_depth + 1, trail, budget
-        ):
-            skip.add(key)
-            result = dict(assignment)
-            for term in trail:
-                del assignment[term]
-            return result
-        return None
-
-    def search(depth: int) -> Iterator[Assignment]:
-        entry = compiled[depth]
-        last = depth == bound_depth
-        if entry.probe_template is not None:
-            if _probe(entry, instance, assignment):
-                if last:
-                    result = emit()
-                    if result is not None:
-                        yield result
-                else:
-                    yield from search(depth + 1)
-            return
-        for fact in _candidates(entry, instance, assignment):
-            if budget is not None:
-                budget.tick()
-            newly = _extend(entry, fact, assignment)
-            if newly is None:
-                continue
-            if last:
-                result = emit()
-                if result is not None:
-                    yield result
-            else:
-                yield from search(depth + 1)
-            for term in newly:
-                del assignment[term]
-
-    if bound_depth < 0:
-        result = emit()
-        if result is not None:
-            yield result
-        return
-    yield from search(0)
 
 
 # ----------------------------------------------------------------------

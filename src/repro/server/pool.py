@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Union
 
@@ -70,9 +69,6 @@ class SessionLimits:
     max_facts: int = DEFAULT_CHASE_FACTS
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
     subsumption: bool = True
-    #: Worker threads for the chase's per-round trigger collection
-    #: (0/1 = sequential; deterministic for every value).
-    chase_parallelism: int = 0
     cache_size: int = 1024
     #: Wall-clock deadline applied to every request that does not carry
     #: its own ``deadline_ms`` (None = unbounded).  A request deadline
@@ -88,7 +84,6 @@ class SessionLimits:
             max_facts=self.max_facts,
             max_disjuncts=self.max_disjuncts,
             subsumption=self.subsumption,
-            chase_parallelism=self.chase_parallelism,
             cache_size=self.cache_size,
             store=store,
         )
@@ -225,8 +220,7 @@ class SessionPool:
     # ------------------------------------------------------------------
     @staticmethod
     def _build(schema: Union[dict, Schema, CompiledSchema]) -> CompiledSchema:
-        """Counter-free compilation (runs outside the lock in
-        `warm_many`; `_compile` adds the accounting)."""
+        """Counter-free compilation (`_compile` adds the accounting)."""
         if isinstance(schema, dict):
             schema = schema_from_dict(schema)
         return as_compiled(schema)
@@ -282,7 +276,6 @@ class SessionPool:
     def _entry_for(
         self,
         schema: SchemaLike,
-        precompiled: Optional[CompiledSchema] = None,
         text_key: Optional[str] = None,
     ) -> _Entry:
         if schema is None:
@@ -300,14 +293,7 @@ class SessionPool:
             if entry is not None:
                 self._counters["text_key_hits"] += 1
                 return entry
-        if precompiled is not None:
-            # `warm_many` already built this schema outside the lock;
-            # account for the compile exactly as `_compile` would have.
-            compiled = precompiled
-            self._counters["schemas_compiled"] += 1
-            self._register_store(compiled)
-        else:
-            compiled = self._compile(schema)
+        compiled = self._compile(schema)
         if (
             self._default is not None
             and compiled.fingerprint == self._default.compiled.fingerprint
@@ -358,12 +344,7 @@ class SessionPool:
                 self._counters["sessions_created"] += 1
             return session
 
-    def warm(
-        self,
-        schema: SchemaLike,
-        *,
-        precompiled: Optional[CompiledSchema] = None,
-    ) -> str:
+    def warm(self, schema: SchemaLike) -> str:
         """Precompile ``schema`` into the pool without serving a
         request; returns the content fingerprint.
 
@@ -378,7 +359,7 @@ class SessionPool:
         if schema is None:
             raise ValueError("cannot warm None (the default is always hot)")
         with self._lock:
-            entry = self._entry_for(schema, precompiled)
+            entry = self._entry_for(schema)
             if not entry.sessions:
                 entry.sessions.append(
                     self.limits.make_session(
@@ -389,79 +370,14 @@ class SessionPool:
             self._counters["warmed"] += 1
             return entry.compiled.fingerprint
 
-    def warm_many(
-        self,
-        schemas: Iterable[SchemaLike],
-        *,
-        parallelism: int = 4,
-    ) -> list[str]:
-        """Warm a batch of schemas, compiling across a thread pool.
-
-        Per-fingerprint compiles are independent, so warm-source
-        preloading need not serialize startup.  The counter trajectory
-        is kept *byte-exact* with a sequential ``warm()`` loop: the
-        pool lock is held only to (a) decide which entries actually
-        need a compile and (b) register results in input order; the
-        compiles themselves — the expensive part — run unlocked in the
-        pool.  Duplicate spellings compile once (the second occurrence
-        registers as a ``text_key_hits`` lookup, exactly as it would
-        sequentially); distinct spellings of one fingerprint each
-        compile and the later ones count ``fingerprint_hits``.
-        """
+    def warm_many(self, schemas: Iterable[SchemaLike]) -> list[str]:
+        """`warm` each schema in order; returns their fingerprints."""
         schemas = list(schemas)
         if any(schema is None for schema in schemas):
             raise ValueError("cannot warm None (the default is always hot)")
-        if not schemas:
-            return []
-        if parallelism <= 1 or len(schemas) == 1:
-            return [self.warm(schema) for schema in schemas]
-        # Phase 1: under the lock, find the entries needing a compile.
-        # Dicts are keyed by spelling (so in-batch duplicates compile
-        # once); non-dict schemas always take the compile path, exactly
-        # like sequential warm().
-        to_compile: "OrderedDict[Any, SchemaLike]" = OrderedDict()
-        keys: list[Any] = []
-        with self._lock:
-            for index, schema in enumerate(schemas):
-                key: Any = index
-                if isinstance(schema, CompiledSchema):
-                    keys.append(None)  # passthrough, no build needed
-                    continue
-                if isinstance(schema, dict):
-                    text_key = text_key_of(schema)
-                    key = ("text", text_key)
-                    fingerprint = self._text_keys.get(text_key)
-                    if fingerprint is not None and (
-                        (
-                            self._default is not None
-                            and fingerprint
-                            == self._default.compiled.fingerprint
-                        )
-                        or fingerprint in self._entries
-                    ):
-                        keys.append(None)  # live: registration will hit
-                        continue
-                keys.append(key)
-                to_compile.setdefault(key, schema)
-        compiled_by_key: dict[Any, CompiledSchema] = {}
-        if to_compile:
-            workers = max(1, min(parallelism, len(to_compile)))
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                futures = {
-                    key: executor.submit(self._build, schema)
-                    for key, schema in to_compile.items()
-                }
-                for key, future in futures.items():
-                    compiled_by_key[key] = future.result()
-        # Phase 2: register in input order under the lock.
-        return [
-            self.warm(
-                schema, precompiled=compiled_by_key.get(keys[index])
-            )
-            for index, schema in enumerate(schemas)
-        ]
+        return [self.warm(schema) for schema in schemas]
 
-    def warm_from_store(self, *, parallelism: int = 4) -> int:
+    def warm_from_store(self) -> int:
         """Re-warm every schema in the bound store's warm set.
 
         The warm set is written as a side effect of compiling with a
@@ -476,7 +392,7 @@ class SessionPool:
         descriptions = load_warm_set(self.store)
         if not descriptions:
             return 0
-        self.warm_many(descriptions, parallelism=parallelism)
+        self.warm_many(descriptions)
         return len(descriptions)
 
     def _record_heat(self, fingerprint: str, *, cached: bool) -> None:

@@ -136,7 +136,6 @@ class Session:
         max_facts: int = DEFAULT_CHASE_FACTS,
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
         subsumption: bool = True,
-        chase_parallelism: int = 0,
         cache_size: int = 1024,
         store=None,
     ) -> None:
@@ -145,10 +144,6 @@ class Session:
         self.max_facts = max_facts
         self.max_disjuncts = max_disjuncts
         self.subsumption = subsumption
-        #: Worker threads for the chase's per-round trigger collection
-        #: (0/1 = sequential; see `repro.chase.engine.chase`).  Results
-        #: are deterministic and identical for every setting.
-        self.chase_parallelism = chase_parallelism
         self.cache_size = cache_size
         #: The decision LRU: canonical key -> (response, texts), where
         #: ``texts`` are the last `MAX_TEXTS_PER_ENTRY` exact request
@@ -285,8 +280,6 @@ class Session:
         folds in every session limit that can change the answer
         (``max_rounds``/``max_facts``/``max_disjuncts``/``subsumption``)
         — sessions under different limits never share durable entries.
-        ``chase_parallelism`` is deliberately excluded: results are
-        guaranteed identical for every setting.
         """
         text = "|".join(
             (
@@ -427,7 +420,6 @@ class Session:
                 max_disjuncts=self.max_disjuncts,
                 subsumption=self.subsumption,
                 budget=budget,
-                parallelism=self.chase_parallelism,
             )
         return decide_monotone_answerability(
             self.compiled,
@@ -437,7 +429,6 @@ class Session:
             max_disjuncts=self.max_disjuncts,
             subsumption=self.subsumption,
             budget=budget,
-            parallelism=self.chase_parallelism,
         )
 
     def decide_many(
@@ -534,7 +525,6 @@ class Session:
             "max_facts": self.max_facts,
             "max_disjuncts": self.max_disjuncts,
             "subsumption": self.subsumption,
-            "chase_parallelism": self.chase_parallelism,
         }
         report["cache"] = self.cache_info()
         report["compile_stats"] = dict(self.compiled.stats)

@@ -1,10 +1,10 @@
-"""Bundles, warm sources, parallel warmup, and store-resident warm sets.
+"""Bundles, warm sources, batch warmup, and store-resident warm sets.
 
 Covers the warm path end to end: `write_bundle`/`load_bundle` round
 trips, `load_warm_source` dispatching between legacy manifests and
 bundles with every failure a typed `WarmupError`,
-`SessionPool.warm_many` keeping its counters byte-identical to the
-sequential loop, and `warm_from_store` re-admitting every schema a
+`SessionPool.warm_many` keeping its counters and fingerprints identical
+to a `warm()` loop, and `warm_from_store` re-admitting every schema a
 store-bound pool ever compiled.
 """
 
@@ -126,23 +126,13 @@ class TestWarmMany:
         ]
 
     def test_counters_match_the_sequential_loop_exactly(self):
-        sequential = SessionPool(limits=SessionLimits())
-        for schema in self._batch():
-            sequential.warm(schema)
-        parallel = SessionPool(limits=SessionLimits())
-        warmed = parallel.warm_many(self._batch(), parallelism=4)
-        assert len(warmed) == len(self._batch())
-        assert parallel.stats()["counters"] == sequential.stats()["counters"]
-        assert sorted(parallel.fingerprints()) == sorted(
-            sequential.fingerprints()
-        )
-
-    def test_single_threaded_parallelism_is_equivalent(self):
-        baseline = SessionPool(limits=SessionLimits())
-        fingerprints = baseline.warm_many(self._batch(), parallelism=1)
-        parallel = SessionPool(limits=SessionLimits())
-        assert parallel.warm_many(self._batch(), parallelism=8) == (
-            fingerprints
+        looped = SessionPool(limits=SessionLimits())
+        expected = [looped.warm(schema) for schema in self._batch()]
+        batched = SessionPool(limits=SessionLimits())
+        assert batched.warm_many(self._batch()) == expected
+        assert batched.stats()["counters"] == looped.stats()["counters"]
+        assert sorted(batched.fingerprints()) == sorted(
+            looped.fingerprints()
         )
 
     def test_empty_batch_is_a_no_op(self):

@@ -5,8 +5,7 @@ and plan through to the store and load-throughs on memory misses — so
 a *fresh* session (new process, cold LRU) over the same store serves
 the same responses without recomputing.  The durable key includes the
 fingerprint, the canonical query, and every limit that can change the
-answer; it deliberately excludes ``chase_parallelism`` (results are
-identical for every setting, per its CLI contract).
+answer.
 """
 
 import json
@@ -73,14 +72,6 @@ class TestDurableDecide:
         response = other.decide("R0(x)")
         assert response.cached is False
         assert other.durable_hits == 0
-
-    def test_chase_parallelism_shares_durable_entries(self):
-        store = ArtifactStore(MemoryKVStore())
-        compiled = compile_schema(id_chain_workload(4).schema)
-        Session(compiled, store=store).decide("R0(x)")
-        parallel = Session(compiled, store=store, chase_parallelism=4)
-        assert parallel.decide("R0(x)").cached is True
-        assert parallel.durable_hits == 1
 
     def test_finite_and_classical_keys_differ(self):
         store = ArtifactStore(MemoryKVStore())

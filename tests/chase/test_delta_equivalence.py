@@ -1,7 +1,10 @@
 """Cross-check: the delta (semi-naive) engine ≡ the naive reference.
 
 The delta engine must produce identical `ChaseOutcome`s, round counts,
-and final instances (up to null renaming) for every policy.  The
+and final instances (up to null renaming) for every policy, and so must
+the delta engine run on the naive reference matcher (its generic,
+dict-environment trigger collector) against the same engine on the
+planned `Matcher` (its int-space collector).  The
 randomized sweeps chase generated workloads on both engines and compare;
 they are marked ``slow`` and excluded from the tier-1 fast path
 (run them with ``pytest -m slow``).  A seeded smoke version always runs.
@@ -17,6 +20,7 @@ from repro.data import Instance
 from repro.logic import Atom, Constant, Null, atom
 from repro.logic.homomorphism import instance_homomorphism
 from repro.logic.terms import NullFactory
+from repro.matching import Matcher, NaiveMatcher
 
 
 #: Above this size, skip the (worst-case exponential) homomorphism
@@ -129,6 +133,26 @@ class TestSeededEquivalence:
         instance, rules = _random_workload(rng)
         naive, delta = _run_both(instance, rules, policy=policy)
         _assert_equivalent(naive, delta, seed, policy)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("policy", ["restricted", "semi_oblivious"])
+    def test_delta_on_naive_matcher_agrees(self, seed, policy):
+        rng = random.Random(seed)
+        instance, rules = _random_workload(rng)
+        planned, reference = (
+            chase(
+                instance,
+                rules,
+                policy=policy,
+                max_rounds=6,
+                max_facts=120,
+                matcher=matcher,
+                null_factory=NullFactory(prefix="d"),
+            )
+            for matcher in (Matcher(), NaiveMatcher())
+        )
+        _assert_equivalent(reference, planned, seed, policy)
+        assert reference.stats.searches == planned.stats.searches
 
     def test_transitive_closure_agrees(self):
         instance = Instance(

@@ -1,11 +1,11 @@
-"""Cross-check: the interned int-slot executor ≡ the object executor.
+"""Cross-check: the interned int-slot executor ≡ the naive reference.
 
-`Matcher(execution="int")` lowers plans to flat integer step arrays and
-runs the backtracking search over interned row tuples; the object
-executor walks the same plans over `Atom`/term dictionaries.  Both must
+`Matcher` lowers plans to flat integer step arrays and runs the
+backtracking search over interned row tuples; `NaiveMatcher` is the
+uncompiled backtracking search over `Atom`/term dictionaries.  Both must
 enumerate exactly the same homomorphism sets on every (atom set,
-instance, seed, rigidity) combination — the interning round-trip is a
-pure representation change.  The randomized sweeps cover joins, repeated
+instance, seed, rigidity) combination — plans and interning are pure
+representation changes.  The randomized sweeps cover joins, repeated
 variables, constants, rigid and flexible nulls, and partial seeds; a
 seeded sample always runs in tier 1, the broad sweep is marked ``slow``
 and also audits the instance's incremental indexes and interning tables
@@ -22,7 +22,7 @@ import pytest
 
 from repro.data import Instance
 from repro.logic import Atom, Constant, Null, Variable
-from repro.matching import Matcher
+from repro.matching import Matcher, NaiveMatcher
 from repro.matching.matcher import DRIFT_FACTOR
 
 RELATIONS = {"R": 2, "S": 2, "T": 1, "U": 3}
@@ -93,22 +93,24 @@ def check_one_case(seed: int, *, validate: bool = False) -> None:
     flexible = rng.random() < 0.4
     seeding = _random_seed(rng, atoms, instance)
 
-    int_matcher = Matcher(execution="int")
-    obj_matcher = Matcher(execution="object")
+    int_matcher = Matcher()
+    naive_matcher = NaiveMatcher()
 
     kwargs = dict(seed=seeding, flexible_nulls=flexible)
     int_homs = _as_set(int_matcher.homomorphisms(atoms, instance, **kwargs))
-    obj_homs = _as_set(obj_matcher.homomorphisms(atoms, instance, **kwargs))
-    assert int_homs == obj_homs, (
-        f"case {seed}: int/object executors diverge "
-        f"(int={len(int_homs)}, object={len(obj_homs)})"
+    naive_homs = _as_set(
+        naive_matcher.homomorphisms(atoms, instance, **kwargs)
+    )
+    assert int_homs == naive_homs, (
+        f"case {seed}: int executor and naive reference diverge "
+        f"(int={len(int_homs)}, naive={len(naive_homs)})"
     )
 
-    assert int_matcher.has(atoms, instance, **kwargs) == bool(obj_homs)
+    assert int_matcher.has(atoms, instance, **kwargs) == bool(naive_homs)
     int_found = int_matcher.find(atoms, instance, **kwargs)
-    assert (int_found is not None) == bool(obj_homs)
+    assert (int_found is not None) == bool(naive_homs)
     if int_found is not None:
-        assert tuple(sorted(int_found.items(), key=repr)) in obj_homs
+        assert tuple(sorted(int_found.items(), key=repr)) in naive_homs
 
     on = sorted(
         {t for a in atoms for t in a.terms if isinstance(t, Variable)},
@@ -118,8 +120,8 @@ def check_one_case(seed: int, *, validate: bool = False) -> None:
         int_distinct = _as_set(
             int_matcher.distinct_matches(atoms, instance, on=on, **kwargs)
         )
-        obj_distinct = _as_set(
-            obj_matcher.distinct_matches(atoms, instance, on=on, **kwargs)
+        naive_distinct = _as_set(
+            naive_matcher.distinct_matches(atoms, instance, on=on, **kwargs)
         )
 
         def projections(matches):
@@ -127,7 +129,7 @@ def check_one_case(seed: int, *, validate: bool = False) -> None:
                 tuple(dict(m).get(v) for v in on) for m in matches
             }
 
-        assert projections(int_distinct) == projections(obj_distinct)
+        assert projections(int_distinct) == projections(naive_distinct)
         assert int_distinct <= int_homs
 
     if validate:
@@ -135,19 +137,20 @@ def check_one_case(seed: int, *, validate: bool = False) -> None:
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_int_equals_object_sample(seed):
+def test_int_equals_naive_sample(seed):
     check_one_case(seed)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(400))
-def test_int_equals_object_sweep(seed):
+def test_int_equals_naive_sweep(seed):
     """Broad randomized sweep (nightly; run with ``pytest -m slow``)."""
     check_one_case(50_000 + seed, validate=True)
 
 
-def test_null_handling_matches_object_executor():
-    """Rigid vs flexible nulls behave identically across executors."""
+def test_null_handling_matches_naive_reference():
+    """Rigid vs flexible nulls behave identically in the int executor
+    and the naive reference."""
     n = Null("n0")
     instance = Instance(
         [
@@ -160,20 +163,18 @@ def test_null_handling_matches_object_executor():
     query_null = (Atom("R", (Constant("a"), Null("other"))),)
     for flexible in (False, True):
         int_homs = _as_set(
-            Matcher(execution="int").homomorphisms(
+            Matcher().homomorphisms(atoms, instance, flexible_nulls=flexible)
+        )
+        naive_homs = _as_set(
+            NaiveMatcher().homomorphisms(
                 atoms, instance, flexible_nulls=flexible
             )
         )
-        obj_homs = _as_set(
-            Matcher(execution="object").homomorphisms(
-                atoms, instance, flexible_nulls=flexible
-            )
-        )
-        assert int_homs == obj_homs
+        assert int_homs == naive_homs
         # A rigid query null only matches itself; a flexible one unifies.
-        assert Matcher(execution="int").has(
+        assert Matcher().has(
             query_null, instance, flexible_nulls=flexible
-        ) == Matcher(execution="object").has(
+        ) == NaiveMatcher().has(
             query_null, instance, flexible_nulls=flexible
         ) == flexible
 
@@ -189,7 +190,7 @@ class TestReplanOnDrift:
         small.  The matcher must notice the drift, recompile, and keep
         returning the exact match set.
         """
-        matcher = Matcher(execution="int")
+        matcher = Matcher()
         instance = Instance(
             [
                 Atom("R", (Constant("a"), Constant("b"))),
@@ -236,7 +237,7 @@ class TestReplanOnDrift:
 
     def test_shrink_also_triggers_replan(self):
         """Drift is symmetric: a plan from a big instance replans small."""
-        matcher = Matcher(execution="int")
+        matcher = Matcher()
         facts = [
             Atom("R", (Constant(f"a{i}"), Constant(f"a{i + 1}")))
             for i in range(DRIFT_FACTOR * 50)
