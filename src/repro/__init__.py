@@ -74,110 +74,86 @@ Package map (details in DESIGN.md):
   drain), the crash-tolerant worker supervisor, the WSGI adapter;
 * `repro.io` — JSON codecs: schemas, queries, requests, responses,
   error frames;
-* `repro.workloads` — paper examples, generators, simulated services.
+* `repro.workloads` — paper examples, generators, simulated services;
+* `repro.defaults` — default limits and serving sizes, importing
+  nothing, so the CLI parser loads no layer.
 """
 
-from .answerability import (
-    AnswerabilityResult,
-    UniversalPlan,
-    choice_simplification,
-    decide_monotone_answerability,
-    existence_check_simplification,
-    fd_simplification,
-    find_amondet_counterexample,
-    generate_static_plan,
-)
-from .constraints import (
-    EGD,
-    TGD,
-    ConstraintClass,
-    FunctionalDependency,
-    fd,
-    inclusion_dependency,
-    parse_fd,
-    tgd,
-)
-from .cache import (
-    ArtifactStore,
-    CacheError,
-    KVStore,
-    MemoryKVStore,
-    SQLiteKVStore,
-    WarmupError,
-    open_directory,
-    write_bundle,
-)
-from .containment import Decision, Truth, contains, linear_contains
-from .chase import ChaseOutcome, chase
-from .data import Instance
-from .logic import (
-    Atom,
-    ConjunctiveQuery,
-    Constant,
-    Null,
-    UnionOfConjunctiveQueries,
-    Variable,
-    atom,
-    boolean_cq,
-    cq,
-    evaluate_cq,
-    ground_atom,
-    holds,
-    parse_cq,
-)
-from .obs import (
-    MetricsRegistry,
-    RequestLogger,
-    StageTimer,
-    render_prometheus,
-)
-from .plans import Plan, execute, plan_to_ucq
-from .runtime import Budget, DeadlineExceeded, Overloaded, WorkerLost
-from .schema import AccessMethod, Relation, Schema
-from .server import (
-    CrashLoopError,
-    DecideServer,
-    SessionLimits,
-    SessionPool,
-    Supervisor,
-    make_wsgi_app,
-)
-from .service import (
-    CompiledSchema,
-    DecideRequest,
-    DecideResponse,
-    ErrorFrame,
-    PlanResponse,
-    Session,
-    compile_schema,
-    schema_fingerprint,
-)
+import importlib
+import sys
+import types
 
 __version__ = "1.5.0"
 
-__all__ = [
-    "ArtifactStore", "CacheError", "KVStore", "MemoryKVStore",
-    "SQLiteKVStore", "WarmupError", "open_directory", "write_bundle",
-    "AnswerabilityResult", "UniversalPlan", "choice_simplification",
-    "decide_monotone_answerability", "existence_check_simplification",
-    "fd_simplification", "find_amondet_counterexample",
-    "generate_static_plan",
-    "EGD", "TGD", "ConstraintClass", "FunctionalDependency", "fd",
-    "inclusion_dependency", "parse_fd", "tgd",
-    "Decision", "Truth", "contains", "linear_contains",
-    "ChaseOutcome", "chase",
-    "Instance",
-    "Atom", "ConjunctiveQuery", "Constant", "Null",
-    "UnionOfConjunctiveQueries", "Variable", "atom", "boolean_cq", "cq",
-    "evaluate_cq", "ground_atom", "holds", "parse_cq",
-    "Plan", "execute", "plan_to_ucq",
-    "AccessMethod", "Relation", "Schema",
-    "MetricsRegistry", "RequestLogger", "StageTimer", "render_prometheus",
-    "Budget", "DeadlineExceeded", "Overloaded", "WorkerLost",
-    "CrashLoopError", "DecideServer", "SessionLimits", "SessionPool",
-    "Supervisor", "make_wsgi_app",
-    "CompiledSchema", "DecideRequest", "DecideResponse", "ErrorFrame",
-    "PlanResponse",
-    "Session", "compile_schema", "schema_fingerprint",
-    "__version__",
-]
+#: The public names, by the subpackage that defines them.  Each is
+#: imported on first access (PEP 562), so ``import repro`` loads only
+#: the layers a process uses: the fleet dispatcher never loads the
+#: decision core.
+_EXPORTED_BY = {
+    ".cache": (
+        "ArtifactStore", "CacheError", "KVStore", "MemoryKVStore",
+        "SQLiteKVStore", "WarmupError", "open_directory", "write_bundle",
+    ),
+    ".answerability": (
+        "AnswerabilityResult", "UniversalPlan", "choice_simplification",
+        "decide_monotone_answerability", "existence_check_simplification",
+        "fd_simplification", "find_amondet_counterexample",
+        "generate_static_plan",
+    ),
+    ".constraints": (
+        "EGD", "TGD", "ConstraintClass", "FunctionalDependency", "fd",
+        "inclusion_dependency", "parse_fd", "tgd",
+    ),
+    ".containment": ("Decision", "Truth", "contains", "linear_contains"),
+    ".chase": ("ChaseOutcome", "chase"),
+    ".data": ("Instance",),
+    ".logic": (
+        "Atom", "ConjunctiveQuery", "Constant", "Null",
+        "UnionOfConjunctiveQueries", "Variable", "atom", "boolean_cq", "cq",
+        "evaluate_cq", "ground_atom", "holds", "parse_cq",
+    ),
+    ".plans": ("Plan", "execute", "plan_to_ucq"),
+    ".schema": ("AccessMethod", "Relation", "Schema"),
+    ".obs": (
+        "MetricsRegistry", "RequestLogger", "StageTimer", "render_prometheus",
+    ),
+    ".runtime": ("Budget", "DeadlineExceeded", "Overloaded", "WorkerLost"),
+    ".server": (
+        "CrashLoopError", "DecideServer", "SessionLimits", "SessionPool",
+        "Supervisor", "make_wsgi_app",
+    ),
+    ".service": (
+        "CompiledSchema", "DecideRequest", "DecideResponse", "ErrorFrame",
+        "PlanResponse", "Session", "compile_schema", "schema_fingerprint",
+    ),
+}
+_SOURCE = {
+    name: module for module, names in _EXPORTED_BY.items() for name in names
+}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Importing the `repro.chase` subpackage binds it on its parent;
+        # the package-level name `chase` stays the chase function.
+        if name == "chase" and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -35,9 +35,11 @@ Commands
 
 All commands are built on `repro.service.Session`, so a process serving
 many queries pays the per-schema analysis once.  ``--max-rounds`` /
-``--max-facts`` default to the chase limits of
-`repro.answerability.deciders` (`DEFAULT_CHASE_ROUNDS`,
-`DEFAULT_CHASE_FACTS`) — the single source of truth.
+``--max-facts`` default to the chase limits in `repro.defaults`
+(`DEFAULT_CHASE_ROUNDS`, `DEFAULT_CHASE_FACTS`) — the single source of
+truth.  Each command imports only the layers it drives: ``fleet``'s
+dispatcher relays frames without loading the decision core, while
+``serve`` loads all of it before it reports ready.
 
 The schema format is documented in `repro.io`; queries use the text
 syntax ``"Q(n) :- Prof(i, n, 10000)"`` (or a bare Boolean body), either
@@ -49,17 +51,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .answerability import (
-    choice_simplification,
-    existence_check_simplification,
-    fd_simplification,
-)
-from .answerability.deciders import (
+from .defaults import (
     DEFAULT_CHASE_FACTS,
     DEFAULT_CHASE_ROUNDS,
+    DEFAULT_MAX_DISJUNCTS,
+    DEFAULT_MAX_FINGERPRINTS,
+    DEFAULT_MAX_PENDING,
+    DEFAULT_POOL_SIZE,
+    DEFAULT_PORT,
+    DEFAULT_WORKERS,
 )
-from .containment.rewriting import DEFAULT_MAX_DISJUNCTS
 from .io import (
     DecideRequest,
     ErrorFrame,
@@ -69,18 +72,10 @@ from .io import (
     load_schema,
     schema_to_dict,
 )
-from .server import (
-    DEFAULT_MAX_FINGERPRINTS,
-    DEFAULT_MAX_PENDING,
-    DEFAULT_POOL_SIZE,
-    DEFAULT_PORT,
-    DEFAULT_WORKERS,
-    DecideServer,
-    SessionLimits,
-    SessionPool,
-    introspection_frame,
-)
-from .service import Session, compile_schema
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from .server.pool import SessionLimits, SessionPool
+    from .service import Session
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -495,6 +490,8 @@ def _open_store(args: argparse.Namespace):
 
 
 def _session(args: argparse.Namespace) -> Session:
+    from .service import Session
+
     return Session(
         load_schema(args.schema),
         max_rounds=args.max_rounds,
@@ -549,6 +546,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _limits(args: argparse.Namespace) -> SessionLimits:
+    from .server.pool import SessionLimits
+
     return SessionLimits(
         max_rounds=args.max_rounds,
         max_facts=args.max_facts,
@@ -559,6 +558,8 @@ def _limits(args: argparse.Namespace) -> SessionLimits:
 
 
 def _pool(args: argparse.Namespace, *, pool_size: int) -> SessionPool:
+    from .server.pool import SessionPool
+
     schema = getattr(args, "schema", None)
     return SessionPool(
         load_schema(schema) if schema is not None else None,
@@ -574,6 +575,8 @@ def _pool(args: argparse.Namespace, *, pool_size: int) -> SessionPool:
 def _cmd_batch(args: argparse.Namespace) -> int:
     # One session per fingerprint: a serial stream gains nothing from
     # round-robin, and a single decision cache keeps repeat lines hits.
+    from .server.pool import introspection_frame
+
     pool = _pool(args, pool_size=1)
     if args.input == "-":
         lines = sys.stdin
@@ -643,6 +646,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
     import signal
+
+    # The server and its pool load the whole decision core here, before
+    # the readiness line, so no request pays for an import.
+    from .server.server import DecideServer
 
     pool = _pool(args, pool_size=args.pool_size)
     warmed, warm_error = _warm_pool(pool, getattr(args, "warm", None))
@@ -782,7 +789,7 @@ def _worker_spec(
 ):
     """Build the `WorkerSpec` shared by ``supervise`` and ``fleet`` —
     one code path for spawn argv, health policy, and restart policy."""
-    from .server import BackoffPolicy, BreakerPolicy, WorkerSpec
+    from .server.supervisor import BackoffPolicy, BreakerPolicy, WorkerSpec
 
     return WorkerSpec(
         schema=args.schema,
@@ -801,7 +808,7 @@ def _worker_spec(
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
-    from .server import CrashLoopError
+    from .server.supervisor import CrashLoopError
 
     spec = _worker_spec(args, threads=args.workers)
     supervisor = spec.supervisor()
@@ -849,7 +856,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     import os
     import signal
 
-    from .server import Fleet, FleetDispatcher
+    from .server.fleet import Fleet, FleetDispatcher
 
     workers = max(1, args.workers)
     channels = args.channels_per_worker or args.worker_threads
@@ -937,6 +944,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
+    from .answerability import (
+        choice_simplification,
+        existence_check_simplification,
+        fd_simplification,
+    )
+
     schema = load_schema(args.schema)
     transform = {
         "existence-check": existence_check_simplification,
@@ -949,6 +962,8 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .service import compile_schema
+
     compiled = compile_schema(load_schema(args.schema))
     if args.json:
         schema = compiled.schema

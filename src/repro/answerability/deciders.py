@@ -45,6 +45,7 @@ from ..containment.rewriting import (
     RewritingError,
 )
 from ..data.instance import Instance
+from ..defaults import DEFAULT_CHASE_FACTS, DEFAULT_CHASE_ROUNDS
 from ..logic.atoms import Atom
 from ..logic.evaluation import holds
 from ..logic.queries import ConjunctiveQuery
@@ -62,11 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..service.compiled import CompiledSchema
 
 SchemaLike = Union[Schema, "CompiledSchema"]
-
-#: Round cap used when no termination guarantee applies.
-DEFAULT_CHASE_ROUNDS = 25
-#: Fact cap protecting against breadth explosion.
-DEFAULT_CHASE_FACTS = 100_000
 
 
 def _as_compiled(schema: SchemaLike) -> "CompiledSchema":

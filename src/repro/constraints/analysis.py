@@ -19,18 +19,17 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-import networkx as nx
-
 from .egd import EGD
 from .fd import FunctionalDependency
+from .graph import DiGraph, is_acyclic, reachable
 from .tgd import TGD
 
 Dependency = Union[TGD, EGD, FunctionalDependency]
 
 
-def position_graph(tgds: Iterable[TGD]) -> nx.DiGraph:
+def position_graph(tgds: Iterable[TGD]) -> DiGraph:
     """The basic position graph: exported-variable flow between positions."""
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for dependency in tgds:
         exported = set(dependency.exported_variables())
         for body_atom in dependency.body:
@@ -46,14 +45,14 @@ def position_graph(tgds: Iterable[TGD]) -> nx.DiGraph:
     return graph
 
 
-def dependency_graph(tgds: Iterable[TGD]) -> nx.DiGraph:
+def dependency_graph(tgds: Iterable[TGD]) -> DiGraph:
     """The weak-acyclicity graph: regular and special (starred) edges.
 
     Edges carry attribute ``special=True`` when an exported variable in a
     body position co-occurs with an existential variable in the head atom
     (a position where fresh nulls are created).
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for dependency in tgds:
         exported = set(dependency.exported_variables())
         existential = set(dependency.existential_variables())
@@ -86,14 +85,14 @@ def is_weakly_acyclic(tgds: Iterable[TGD]) -> bool:
     """True iff no cycle of the dependency graph uses a special edge."""
     graph = dependency_graph(tgds)
     for src, dst, data in graph.edges(data=True):
-        if data.get("special") and nx.has_path(graph, dst, src):
+        if data.get("special") and reachable(graph, dst, src):
             return False
     return True
 
 
 def has_acyclic_position_graph(tgds: Iterable[TGD]) -> bool:
     graph = position_graph(tgds)
-    return nx.is_directed_acyclic_graph(graph)
+    return is_acyclic(graph)
 
 
 def semi_width(tgds: Sequence[TGD]) -> int:

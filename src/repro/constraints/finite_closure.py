@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from .fd import FunctionalDependency, implied_unary_fds
+from .graph import DiGraph, strongly_connected_components
 from .implication import Position, uid_closure
 from .tgd import TGD, inclusion_dependency, id_profile
 
@@ -51,9 +50,9 @@ class FiniteClosure:
 def _inequality_graph(
     uids: Iterable[tuple[Position, Position]],
     unary_fds: Iterable[FunctionalDependency],
-) -> nx.DiGraph:
+) -> DiGraph:
     """Directed graph of cardinality inequalities |source| ≤ |target|."""
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for src, dst in uids:
         graph.add_edge(src, dst)
     for dependency in unary_fds:
@@ -98,7 +97,7 @@ def finite_closure(
             )
         }
         graph = _inequality_graph(uid_pairs, unary)
-        for component in nx.strongly_connected_components(graph):
+        for component in strongly_connected_components(graph):
             if len(component) == 1:
                 node = next(iter(component))
                 if not graph.has_edge(node, node):

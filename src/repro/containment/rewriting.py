@@ -42,6 +42,7 @@ import threading
 from typing import Iterable, Optional, Sequence
 
 from ..constraints.tgd import TGD
+from ..defaults import DEFAULT_MAX_DISJUNCTS
 from ..logic.atoms import Atom
 from ..logic.evaluation import holds
 from ..logic.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
@@ -50,9 +51,6 @@ from ..matching.matcher import default_matcher, freeze_atoms
 from ..obs.timing import stage
 from ..runtime import Budget
 from .decision import Decision
-
-#: Safety valve on the number of generated disjuncts.
-DEFAULT_MAX_DISJUNCTS = 50_000
 
 #: A canonical Boolean CQ body: atoms over `_q*` variables in sorted order.
 State = tuple[Atom, ...]

@@ -50,13 +50,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
-from .constraints.fd import parse_fd
-from .constraints.tgd import tgd
-from .logic.parser import parse_cq
-from .logic.queries import ConjunctiveQuery
-from .schema.schema import Schema
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from .logic.queries import ConjunctiveQuery
+    from .schema.schema import Schema
+
+# The codecs below import the constraint, logic and schema layers inside
+# the functions that build those objects: the frame codecs are all a
+# relay process (the fleet dispatcher) needs from this module.
 
 
 class SchemaFormatError(ValueError):
@@ -69,6 +71,9 @@ class SchemaFormatError(ValueError):
 def parse_constraint(text: str):
     """Parse one constraint string: TGD/ID or FD, with an optional
     ``[name]`` label prefix (the form `repr` emits)."""
+    from .constraints.fd import parse_fd
+    from .constraints.tgd import tgd
+
     name = ""
     stripped = text.strip()
     if stripped.startswith("["):
@@ -87,6 +92,8 @@ def parse_constraint(text: str):
 
 def schema_from_dict(description: dict[str, Any]) -> Schema:
     """Build a `Schema` from a parsed JSON description."""
+    from .schema.schema import Schema
+
     if "relations" not in description:
         raise SchemaFormatError("missing 'relations' section")
     if not isinstance(description["relations"], dict):
@@ -135,9 +142,14 @@ def load_schema(path: Union[str, Path]) -> Schema:
 def load_query(text_or_path: str) -> ConjunctiveQuery:
     """Parse a query from text, or from a file if the argument is a
     readable path."""
-    candidate = Path(text_or_path)
-    if candidate.exists() and candidate.is_file():
-        text_or_path = candidate.read_text().strip()
+    from .logic.parser import parse_cq
+
+    try:
+        is_file = Path(text_or_path).is_file()
+    except OSError:  # e.g. ENAMETOOLONG: query text too long to be a path
+        is_file = False
+    if is_file:
+        text_or_path = Path(text_or_path).read_text().strip()
     return parse_cq(text_or_path)
 
 

@@ -41,43 +41,45 @@ Exposed on the CLI as ``python -m repro serve`` / ``supervise`` /
 ``fleet``.
 """
 
-from .fleet import Fleet, FleetDispatcher, run_fleet
-from .hashring import DEFAULT_REPLICAS, HashRing
-from .pool import (
-    DEFAULT_MAX_FINGERPRINTS,
-    DEFAULT_POOL_SIZE,
-    SessionLimits,
-    SessionPool,
-    introspection_frame,
-)
-from .server import (
-    DEFAULT_MAX_PENDING,
-    DEFAULT_PORT,
-    DEFAULT_WORKERS,
-    DecideServer,
-    run_server,
-)
-from .supervisor import (
-    BackoffPolicy,
-    BreakerPolicy,
-    CrashLoopError,
-    Supervisor,
-    WorkerHandle,
-    WorkerSpec,
-    serve_spawn,
-    tcp_ping,
-)
-from .wsgi import make_wsgi_app
+import importlib
 
-__all__ = [
-    "DEFAULT_MAX_FINGERPRINTS", "DEFAULT_POOL_SIZE",
-    "SessionLimits", "SessionPool", "introspection_frame",
-    "DEFAULT_MAX_PENDING", "DEFAULT_PORT", "DEFAULT_WORKERS",
-    "DecideServer", "run_server",
-    "BackoffPolicy", "BreakerPolicy", "CrashLoopError",
-    "Supervisor", "WorkerHandle", "WorkerSpec",
-    "serve_spawn", "tcp_ping",
-    "DEFAULT_REPLICAS", "HashRing",
-    "Fleet", "FleetDispatcher", "run_fleet",
-    "make_wsgi_app",
-]
+#: The public names, by the submodule that defines them; each is
+#: imported on first access (PEP 562), so the fleet dispatcher's
+#: ``repro.server.fleet`` never drags in the session pool and, through
+#: it, the decision core.
+_EXPORTED_BY = {
+    ".pool": (
+        "DEFAULT_MAX_FINGERPRINTS", "DEFAULT_POOL_SIZE",
+        "SessionLimits", "SessionPool", "introspection_frame",
+    ),
+    ".server": (
+        "DEFAULT_MAX_PENDING", "DEFAULT_PORT", "DEFAULT_WORKERS",
+        "DecideServer", "run_server",
+    ),
+    ".supervisor": (
+        "BackoffPolicy", "BreakerPolicy", "CrashLoopError",
+        "Supervisor", "WorkerHandle", "WorkerSpec",
+        "serve_spawn", "tcp_ping",
+    ),
+    ".hashring": ("DEFAULT_REPLICAS", "HashRing"),
+    ".fleet": ("Fleet", "FleetDispatcher", "run_fleet"),
+    ".wsgi": ("make_wsgi_app",),
+}
+_SOURCE = {
+    name: module for module, names in _EXPORTED_BY.items() for name in names
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -46,7 +46,9 @@ a restarted worker never serves its shard colder than the manifest.
 **Stats.**  ``op: stats`` aggregates fleet-wide: dispatcher routing
 counters, the live ring, per-worker supervision state, and each
 worker's own stats frame (whose pool ``per_fingerprint`` map is the
-per-shard heat).
+per-shard heat).  The frame's top-level ``process`` block is the
+dispatcher's own CPU time and peak RSS; each worker's stats frame
+carries its own, and none are summed.
 
 ::
 
@@ -85,6 +87,7 @@ from .lines import (
     Reply,
     encode_frame,
     is_error_line,
+    process_usage,
 )
 from .supervisor import CrashLoopError, Supervisor, WorkerSpec
 
@@ -680,6 +683,7 @@ class FleetDispatcher:
             "op": "stats",
             "fleet": self.fleet_stats(),
             "workers": per_worker,
+            "process": process_usage(),
         }
         if request.id is not None:
             frame["id"] = request.id

@@ -31,17 +31,24 @@ every idle connection at once; a busy connection closes as soon as its
 reply is written.  A frame longer than `MAX_FRAME_BYTES` cannot be
 resynchronized past, so the loop answers it with a ``FrameTooLong``
 error frame and closes that connection.
+
+The module also holds what every front end shares without the session
+pool: `text_key_of` (a frame's schema spelling, the routing key) and
+`process_usage` (the ``process`` block of a stats frame).  The fleet
+dispatcher imports this module, so it imports nothing from the
+decision core.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import sys
 from collections import OrderedDict
 from typing import Awaitable, Callable, Optional, Union
 
 from ..io import DecideRequest, ErrorFrame
-from .pool import text_key_of
 
 #: Cap on one request line; longer frames get a structured error and
 #: the connection closes.
@@ -67,6 +74,33 @@ ERROR_PREFIX = b'{"error": '
 Reply = Union[bytes, Awaitable[bytes]]
 Process = Callable[[bytes, str], Reply]
 Parsed = tuple[DecideRequest, Optional[str]]
+
+
+def text_key_of(schema: object) -> Optional[str]:
+    """The serialized spelling an inline (dict) schema routes by; None
+    for anything else.  Transports compute it once per frame and pass
+    it along (`SessionPool.probe`, `SessionPool.process`)."""
+    if isinstance(schema, dict):
+        return json.dumps(schema, sort_keys=True)
+    return None
+
+
+def process_usage() -> dict:
+    """This process's own resource usage (``getrusage(RUSAGE_SELF)``):
+    the ``process`` block of an ``op: stats`` frame.  CPU seconds and
+    peak RSS are per process, so a fleet reports its dispatcher's block
+    beside each worker's rather than a sum."""
+    import resource
+
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS.
+    rss_bytes = usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+    return {
+        "pid": os.getpid(),
+        "user_s": usage.ru_utime,
+        "sys_s": usage.ru_stime,
+        "max_rss_mb": rss_bytes / (1 << 20),
+    }
 
 
 def encode_frame(frame: dict) -> bytes:

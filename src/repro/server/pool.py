@@ -29,17 +29,18 @@ across the pool per fingerprint, plus the pool's own routing counters.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Union
 
-from ..answerability.deciders import (
+from ..defaults import (
     DEFAULT_CHASE_FACTS,
     DEFAULT_CHASE_ROUNDS,
+    DEFAULT_MAX_DISJUNCTS,
+    DEFAULT_MAX_FINGERPRINTS,
+    DEFAULT_POOL_SIZE,
 )
-from ..containment.rewriting import DEFAULT_MAX_DISJUNCTS
 from ..io import (
     DecideRequest,
     DecideResponse,
@@ -52,11 +53,7 @@ from ..obs.timing import stage
 from ..runtime import Budget
 from ..schema.schema import Schema
 from ..service import CompiledSchema, Session, as_compiled
-
-#: Default bound on distinct fingerprints held live (LRU past this).
-DEFAULT_MAX_FINGERPRINTS = 64
-#: Default sessions per fingerprint.
-DEFAULT_POOL_SIZE = 2
+from .lines import process_usage, text_key_of
 
 
 @dataclass(frozen=True)
@@ -135,15 +132,6 @@ class _Entry:
 
 SchemaLike = Union[None, dict, Schema, CompiledSchema]
 Response = Union[DecideResponse, PlanResponse]
-
-
-def text_key_of(schema: SchemaLike) -> Optional[str]:
-    """The serialized spelling an inline (dict) schema routes by; None
-    for anything else.  Transports compute it once per frame and pass
-    it along (`SessionPool.probe`, `SessionPool.process`)."""
-    if isinstance(schema, dict):
-        return json.dumps(schema, sort_keys=True)
-    return None
 
 
 class SessionPool:
@@ -588,7 +576,9 @@ def introspection_frame(
     ``op: ping``/``op: stats``/``op: metrics`` through this one
     builder, so the frame shape cannot drift between front ends.
     ``sections`` adds transport-specific stats blocks (the TCP server
-    passes ``server=...``) ahead of the pool's.
+    passes ``server=...``) ahead of the pool's; a stats frame ends with
+    the answering process's own ``process`` usage block
+    (`repro.server.lines.process_usage`).
 
     ``op: metrics`` returns the `repro.obs.MetricsRegistry` snapshot
     (``metrics`` when the transport runs one, else an ad-hoc registry
@@ -618,7 +608,12 @@ def introspection_frame(
             **sections,
         }
     else:
-        frame = {"op": "stats", **sections, "pool": pool.stats()}
+        frame = {
+            "op": "stats",
+            **sections,
+            "pool": pool.stats(),
+            "process": process_usage(),
+        }
     if request.id is not None:
         frame["id"] = request.id
     return json_safe(frame)

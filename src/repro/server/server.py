@@ -75,6 +75,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
+from ..defaults import DEFAULT_MAX_PENDING, DEFAULT_PORT, DEFAULT_WORKERS
 from ..io import DecideRequest, ErrorFrame
 from ..obs.logs import RequestLogger
 from ..obs.registry import MetricsRegistry
@@ -82,13 +83,6 @@ from ..obs.timing import StageTimer, activate, deactivate
 from ..runtime import Budget, DeadlineExceeded, Overloaded
 from .lines import FrameLoop, FrameMemo, Reply, encode_frame, is_error_line
 from .pool import SessionPool, introspection_frame
-
-#: Default TCP port (unassigned by IANA; "answerability" has no port).
-DEFAULT_PORT = 8765
-#: Default bound on queued-or-running decisions (the backpressure gate).
-DEFAULT_MAX_PENDING = 64
-#: Default worker threads deciding concurrently.
-DEFAULT_WORKERS = 4
 
 #: Retry hint on quota/in-flight shedding when no better estimate exists.
 DEFAULT_RETRY_AFTER_MS = 50.0

@@ -209,6 +209,38 @@ class TestWarmManifest:
         asyncio.run(scenario())
 
 
+class TestProcessUsage:
+    def test_stats_report_each_process_separately(self, tmp_path):
+        """The fleet's stats frame carries the dispatcher's own
+        ``process`` block (this test process runs it) and each worker's
+        stats frame carries the worker's, unsummed: one block per pid."""
+
+        async def scenario():
+            dispatcher = FleetDispatcher(port=0, channels_per_worker=1)
+            await dispatcher.start()
+            fleet = Fleet(
+                [spec_for(tmp_path), spec_for(tmp_path)], dispatcher
+            )
+            try:
+                assert await fleet.start(timeout_s=90) == 2
+                return await fleet_stats(dispatcher)
+            finally:
+                await fleet.close(drain_timeout=5)
+
+        stats = asyncio.run(scenario())
+        blocks = [stats["process"]] + [
+            entry["stats"]["process"] for entry in stats["workers"]
+        ]
+        assert stats["process"]["pid"] == os.getpid()
+        for entry in stats["workers"]:
+            assert entry["stats"]["process"]["pid"] == entry["pid"]
+        assert len({block["pid"] for block in blocks}) == 3
+        for block in blocks:
+            assert set(block) == {"pid", "user_s", "sys_s", "max_rss_mb"}
+            assert block["user_s"] > 0 and block["sys_s"] >= 0
+            assert block["max_rss_mb"] > 1
+
+
 class TestQuorum:
     def test_quorum_failure_raises_and_leaves_no_orphans(self, tmp_path):
         """A fleet whose workers cannot start (bad schema path) fails

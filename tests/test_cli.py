@@ -1,6 +1,7 @@
 """Tests for the JSON loader and the CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -102,6 +103,21 @@ class TestCLI:
     def test_plan_refused(self, schema_file, capsys):
         code = main(["plan", schema_file, "Prof(i,n,10000)"])
         assert code == 1
+
+    #: An inline query longer than a file name may be (255 bytes): the
+    #: path probe fails with ENAMETOOLONG and must read it as text.
+    LONG_QUERY = ", ".join(["Udirectory(i, a, p)"] * 15)
+
+    def test_decide_long_inline_query(self, schema_file, capsys):
+        assert len(self.LONG_QUERY) > 300
+        code = main(["decide", schema_file, self.LONG_QUERY])
+        assert code == 0
+        assert "YES" in capsys.readouterr().out
+
+    def test_plan_long_inline_query(self, schema_file, capsys):
+        code = main(["plan", schema_file, self.LONG_QUERY])
+        assert code == 0
+        assert "<= ud <=" in capsys.readouterr().out
 
     def test_simplify(self, schema_file, capsys):
         code = main(["simplify", schema_file, "choice"])
@@ -317,6 +333,10 @@ class TestCLIBatch:
         assert pong == {"op": "pong", "id": 2}
         assert stats["op"] == "stats"
         assert stats["pool"]["counters"]["requests"] == 1
+        process = stats["process"]
+        assert process["pid"] == os.getpid()
+        assert process["user_s"] > 0 and process["sys_s"] >= 0
+        assert process["max_rss_mb"] > 1
 
     def test_batch_stats_line_on_stderr(
         self, schema_file, tmp_path, capsys
