@@ -4,7 +4,10 @@ Commands
 --------
 ``decide SCHEMA.json QUERY [--json]``
     Decide monotone answerability of the query under the schema; exit
-    code 0 for YES, 1 for NO, 2 for UNKNOWN.
+    code 0 for YES, 1 for NO, 2 for UNKNOWN.  ``decide``, ``plan`` and
+    ``classify`` print ``error: <message>`` and exit 2 on bad input: an
+    unreadable or malformed schema, an unparseable query, or a query
+    that does not fit the schema.
 ``plan SCHEMA.json QUERY [--json]``
     Extract and print a static plan for an answerable query.
 ``batch SCHEMA.json [--input FILE]``
@@ -67,6 +70,7 @@ from .io import (
     DecideRequest,
     ErrorFrame,
     ReadyFrame,
+    SchemaFormatError,
     json_safe,
     load_query,
     load_schema,
@@ -991,6 +995,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _input_errors() -> tuple[type[BaseException], ...]:
+    """What ``decide``/``plan``/``classify`` report as bad input.
+    Called only once an exception is in flight, so the imports stay
+    lazy."""
+    from .logic.parser import ParseError
+    from .schema.schema import SchemaError
+    from .service import QuerySchemaError
+
+    return (
+        OSError, json.JSONDecodeError, ParseError, QuerySchemaError,
+        SchemaError, SchemaFormatError,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -1003,7 +1021,13 @@ def main(argv: list[str] | None = None) -> int:
         "simplify": _cmd_simplify,
         "classify": _cmd_classify,
     }
-    return handlers[args.command](args)
+    if args.command not in ("decide", "plan", "classify"):
+        return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _input_errors() as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,12 @@ over one fixed rule set:
 * query states are kept in **canonical form** (variables renamed by a
   deterministic scheme), and the full expansion of each canonical state
   is memoized, so rewriting query N+1 reuses every frontier state
-  already explored for queries 1..N;
+  already explored for queries 1..N that is still cached;
+* the state and whole-result memos are LRU tables capped at
+  `MAX_CACHED_STATES` / `MAX_CACHED_RESULTS`, so distinct-query
+  traffic cannot grow an engine without bound (an evicted entry is
+  recomputed — or, for a result with a durable store bound, reloaded
+  — never served wrong);
 * emitted UCQs are deduplicated by canonical isomorphism class and
   sorted deterministically, so the output (and any cache key derived
   from it) is stable across runs and across engine instances.
@@ -39,6 +44,7 @@ raises otherwise.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Iterable, Optional, Sequence
 
 from ..constraints.tgd import TGD
@@ -54,6 +60,16 @@ from .decision import Decision
 
 #: A canonical Boolean CQ body: atoms over `_q*` variables in sorted order.
 State = tuple[Atom, ...]
+
+#: Canonical-state expansions a `RewriteEngine` keeps (least recently
+#: used evicted first).  A state with its successors takes about 1 KB,
+#: so this bounds the memo at a few MB per engine.
+MAX_CACHED_STATES = 4096
+
+#: Whole rewriting results a `RewriteEngine` keeps (least recently used
+#: evicted first; with a durable store bound, an evicted result
+#: reloads from it).
+MAX_CACHED_RESULTS = 512
 
 
 class RewritingError(ValueError):
@@ -249,8 +265,12 @@ class RewriteEngine:
     Construction validates and indexes the rules; `rewrite` memoizes
     per-atom-pattern resolution steps, canonical-state expansions, and
     whole results, so a batch of distinct queries over the same rules
-    shares every step already derived.  Thread-safe (one coarse lock —
-    the memo tables are shared mutable state).
+    shares every step already derived.  The expansion and result memos
+    are LRU tables capped at `MAX_CACHED_STATES` and
+    `MAX_CACHED_RESULTS` (evictions are counted in `stats`); the step
+    memo is bounded by rules × atom patterns and is not capped.
+    Thread-safe (one coarse lock — the memo tables are shared mutable
+    state).
 
     ::
 
@@ -297,10 +317,15 @@ class RewriteEngine:
             )
         #: atom pattern -> compiled steps (the per-atom rewrite memo).
         self._steps: dict[tuple, tuple[_Step, ...]] = {}
-        #: canonical state -> canonical successor states.
-        self._expansions: dict[State, tuple[State, ...]] = {}
-        #: initial canonical state -> (frontier size, emitted disjuncts).
-        self._results: dict[State, tuple[int, tuple[State, ...]]] = {}
+        #: canonical state -> canonical successor states (LRU).
+        self._expansions: OrderedDict[State, tuple[State, ...]] = (
+            OrderedDict()
+        )
+        #: initial canonical state -> (frontier size, emitted disjuncts)
+        #: (LRU).
+        self._results: OrderedDict[
+            State, tuple[int, tuple[State, ...]]
+        ] = OrderedDict()
         #: optional durable tier behind the whole-result memo
         #: (`bind_store`): misses fall through to it before the BFS,
         #: complete results are written through after the memo.
@@ -313,6 +338,8 @@ class RewriteEngine:
             "states": 0,
             "expansions_built": 0,
             "expansions_reused": 0,
+            "state_evictions": 0,
+            "result_evictions": 0,
             "atom_patterns_compiled": 0,
             "atom_pattern_hits": 0,
             "disjuncts_emitted": 0,
@@ -383,6 +410,15 @@ class RewriteEngine:
             {"frontier": frontier_size, "disjuncts": wire},
         ):
             self._counters["persisted_writes"] += 1
+
+    def _remember(
+        self, memo: OrderedDict, key: State, value, cap: int, counter: str
+    ) -> None:
+        """Insert into an LRU memo, evicting the oldest past ``cap``."""
+        memo[key] = value
+        while len(memo) > cap:
+            memo.popitem(last=False)
+            self._counters[counter] += 1
 
     @staticmethod
     def _reserved(rule: TGD, index: int) -> TGD:
@@ -549,6 +585,7 @@ class RewriteEngine:
     def _expand(self, state: State) -> tuple[State, ...]:
         cached = self._expansions.get(state)
         if cached is not None:
+            self._expansions.move_to_end(state)
             self._counters["expansions_reused"] += 1
             return cached
         successors: list[State] = []
@@ -572,7 +609,10 @@ class RewriteEngine:
             for step in self._atom_steps(a, shared, local_of):
                 successors.append(self._apply(state, index, step, var_of_local))
         result = tuple(dict.fromkeys(successors))
-        self._expansions[state] = result
+        self._remember(
+            self._expansions, state, result, MAX_CACHED_STATES,
+            "state_evictions",
+        )
         self._counters["expansions_built"] += 1
         return result
 
@@ -627,7 +667,9 @@ class RewriteEngine:
         constant set) is not contained in the candidate's cannot map
         into it — checked on precomputed frozensets before any search —
         and each kept disjunct's match plan is fetched once and reused
-        across every candidate it is probed against.
+        across every candidate it is probed against.  A candidate is
+        frozen into an instance only once some kept disjunct passes
+        both prefilters.
         """
         matcher = self._matcher
         kept: list[State] = []
@@ -644,7 +686,7 @@ class RewriteEngine:
                 for t in a.terms
                 if not isinstance(t, Variable)
             )
-            frozen, __ = freeze_atoms(state)
+            frozen = None
             subsumed = False
             for index, smaller in enumerate(kept):
                 if len(smaller) > len(state):
@@ -654,6 +696,8 @@ class RewriteEngine:
                 if not kept_constants[index] <= state_constants:
                     continue
                 self._counters["subsumption_checks"] += 1
+                if frozen is None:
+                    frozen, __ = freeze_atoms(state)
                 plan = kept_plans[index]
                 if plan is None:
                     plan = matcher.plan_for(smaller, frozen)
@@ -703,10 +747,15 @@ class RewriteEngine:
             self._counters["rewrites"] += 1
             start = canonical_state(query.atoms)
             cached = self._results.get(start)
-            if cached is None and self._store is not None:
+            if cached is not None:
+                self._results.move_to_end(start)
+            elif self._store is not None:
                 cached = self._load_persisted(start)
                 if cached is not None:
-                    self._results[start] = cached
+                    self._remember(
+                        self._results, start, cached, MAX_CACHED_RESULTS,
+                        "result_evictions",
+                    )
                     self._counters["persisted_loads"] += 1
             if cached is not None:
                 frontier_size, disjuncts = cached
@@ -731,7 +780,10 @@ class RewriteEngine:
                                 )
                 self._counters["states"] += len(frontier)
                 disjuncts = self._emit(frontier, budget)
-                self._results[start] = (len(frontier), disjuncts)
+                self._remember(
+                    self._results, start, (len(frontier), disjuncts),
+                    MAX_CACHED_RESULTS, "result_evictions",
+                )
                 if self._store is not None:
                     self._persist_result(start, len(frontier), disjuncts)
         return UnionOfConjunctiveQueries(
@@ -743,7 +795,8 @@ class RewriteEngine:
         )
 
     def stats(self) -> dict:
-        """Cache-traffic counters (cross-query reuse shows up here)."""
+        """Cache-traffic counters (cross-query reuse shows up here;
+        ``state_evictions``/``result_evictions`` count LRU evictions)."""
         with self._lock:
             return {
                 "rules": len(self.rules),

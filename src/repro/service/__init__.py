@@ -20,11 +20,11 @@ from .compiled import (
     compile_schema,
     schema_fingerprint,
 )
-from .session import Session, canonical_query_key
+from .session import QuerySchemaError, Session, canonical_query_key
 
 __all__ = [
     "CompiledSchema", "as_compiled", "compile_schema",
     "schema_fingerprint",
-    "Session", "canonical_query_key",
+    "QuerySchemaError", "Session", "canonical_query_key",
     "DecideRequest", "DecideResponse", "ErrorFrame", "PlanResponse",
 ]

@@ -9,7 +9,9 @@ an LRU decision cache, and exposes the four service verbs:
 * ``explain(query)`` — the decision plus compilation/cache diagnostics.
 
 Queries may be `ConjunctiveQuery` objects or text in the
-`repro.logic.parser` syntax.  The cache key is the pair (schema
+`repro.logic.parser` syntax; a query atom over a relation the schema
+lacks, or with the wrong arity, raises `QuerySchemaError` before any
+cache is consulted.  The cache key is the pair (schema
 fingerprint, canonical query form): queries that differ only in
 variable names or in the query name share an entry.  In front of it
 sits an exact-text key: each entry remembers the last few query texts
@@ -62,6 +64,11 @@ QueryLike = Union[str, ConjunctiveQuery]
 #: Exact query texts remembered per decision-cache entry (alpha
 #: variants of one query share the entry, each under its own text).
 MAX_TEXTS_PER_ENTRY = 4
+
+
+class QuerySchemaError(ValueError):
+    """A query atom names a relation the schema lacks, or has the
+    wrong arity for it."""
 
 
 def _frozen(value: Any) -> Any:
@@ -140,6 +147,7 @@ class Session:
         store=None,
     ) -> None:
         self.compiled = as_compiled(schema)
+        self._arities = self.compiled.schema.arities()
         self.max_rounds = max_rounds
         self.max_facts = max_facts
         self.max_disjuncts = max_disjuncts
@@ -178,8 +186,21 @@ class Session:
         return self.compiled.fingerprint
 
     def _coerce(self, query: QueryLike) -> ConjunctiveQuery:
+        """The parsed query, checked against the schema's relations."""
         if isinstance(query, str):
-            return parse_cq(query)
+            query = parse_cq(query)
+        for a in query.atoms:
+            arity = self._arities.get(a.relation)
+            if arity is None:
+                raise QuerySchemaError(
+                    f"query atom {a} names relation {a.relation!r}, "
+                    "which the schema does not declare"
+                )
+            if arity != a.arity:
+                raise QuerySchemaError(
+                    f"query atom {a} has {a.arity} terms, but relation "
+                    f"{a.relation!r} has arity {arity}"
+                )
         return query
 
     def _cache_get(self, key: tuple) -> Optional[Any]:

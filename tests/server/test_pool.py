@@ -4,7 +4,7 @@ import pytest
 
 from repro.io import DecideRequest, schema_from_dict
 from repro.server import SessionLimits, SessionPool
-from repro.service import compile_schema
+from repro.service import QuerySchemaError, compile_schema
 from repro.workloads import lookup_chain_workload, university_schema
 
 UNIVERSITY = {
@@ -364,3 +364,20 @@ class TestShardHeat:
             )
         heat = pool.stats()["per_fingerprint"]
         assert len(heat) == 8  # 8 * max_fingerprints
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize("op", ["decide", "plan"])
+    @pytest.mark.parametrize(
+        "query", ["Udirectory(i, a)", "Prof(i, n)", "Nope(x)"]
+    )
+    def test_misfit_query_raises_on_default_and_inline_schemas(
+        self, op, query
+    ):
+        pool = SessionPool(university_schema(ud_bound=100))
+        with pytest.raises(QuerySchemaError):
+            pool.process(DecideRequest(query=query, op=op))
+        with pytest.raises(QuerySchemaError):
+            pool.process(
+                DecideRequest(query=query, op=op, schema=UNIVERSITY)
+            )

@@ -170,6 +170,31 @@ class TestErrors:
         assert reply["error"]["type"] == "ParseError"
         assert reply["id"] == 41
 
+    def test_misfit_queries_get_error_frames(self):
+        async def scenario():
+            server = await started_server()
+            try:
+                return await exchange(
+                    server,
+                    [
+                        {"query": "Udirectory(i, a)", "id": 1},
+                        {"query": "Udirectory(i, a, p, q)", "id": 2},
+                        {"query": "Prof(i, n)", "id": 3, "op": "plan"},
+                        {"query": "Nope(x)", "id": 4},
+                        {"query": "Udirectory(i,a,p)", "id": 5},
+                    ],
+                )
+            finally:
+                await server.close()
+
+        *misfits, good = run(scenario())
+        for index, reply in enumerate(misfits, start=1):
+            assert "decision" not in reply
+            assert reply["error"]["type"] == "QuerySchemaError"
+            assert reply["error"]["retryable"] is False
+            assert reply["id"] == index
+        assert good["decision"] == "yes"
+
     def test_oversized_frame_gets_a_structured_error(self):
         async def scenario():
             server = await started_server()

@@ -100,6 +100,14 @@ class TestErrors:
         assert payload["error"]["type"] == "ParseError"
         assert payload["id"] == 9
 
+    def test_misfit_query_is_structured_400(self):
+        status, payload = call(
+            app(), "POST", "/", {"query": "Udirectory(i, a)", "id": 3}
+        )
+        assert status == "400 Bad Request"
+        assert payload["error"]["type"] == "QuerySchemaError"
+        assert payload["id"] == 3
+
     def test_internal_failure_is_500_not_400(self):
         class ExplodingPool:
             def process(self, request):

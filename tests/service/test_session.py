@@ -7,7 +7,12 @@ import pytest
 from repro.answerability import decide_monotone_answerability
 from repro.logic.atoms import atom
 from repro.logic.queries import boolean_cq
-from repro.service import Session, canonical_query_key, compile_schema
+from repro.service import (
+    QuerySchemaError,
+    Session,
+    canonical_query_key,
+    compile_schema,
+)
 from repro.workloads import (
     example_6_1_schema,
     fd_determinacy_workload,
@@ -338,3 +343,40 @@ class TestFinite:
         # Distinct cache keys: the second finite call is the hit.
         assert not finite.cached
         assert session.decide(query_q2(), finite=True).cached
+
+
+#: Queries over `university_schema` (Udirectory/3, Prof/3) that do not
+#: fit it: wrong arities and an undeclared relation.
+MISFITS = [
+    "Udirectory(i, a)",
+    "Udirectory(i, a, p, q)",
+    "Prof(i, n)",
+    "Nope(x)",
+    "Udirectory(i, a, p), Prof(i, n)",
+]
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize("query", MISFITS)
+    @pytest.mark.parametrize("op", ["decide", "plan"])
+    def test_misfit_query_raises_a_typed_error(self, op, query):
+        session = Session(university_schema(ud_bound=100))
+        with pytest.raises(QuerySchemaError):
+            getattr(session, op)(query)
+        # Rejected before any cache lookup: nothing counted, nothing kept.
+        assert session.cache_info()["misses"] == 0
+        assert session.cache_info()["size"] == 0
+
+    def test_parsed_queries_are_checked_too(self):
+        session = Session(university_schema(ud_bound=100))
+        with pytest.raises(QuerySchemaError, match="arity 3"):
+            session.decide(boolean_cq([atom("Prof", "i", "n")]))
+
+    def test_checked_before_the_durable_tier(self):
+        from repro.cache import ArtifactStore, MemoryKVStore
+
+        store = ArtifactStore(MemoryKVStore())
+        session = Session(university_schema(ud_bound=100), store=store)
+        with pytest.raises(QuerySchemaError):
+            session.decide("Nope(x)")
+        assert "decision" not in store.stats()["tiers"]

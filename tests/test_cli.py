@@ -237,6 +237,69 @@ class TestCLIJson:
         assert "RewritingBudgetExceeded" in out
 
 
+class TestCLIInputErrors:
+    """Bad input to decide/plan/classify: one ``error:`` line on stderr
+    and exit 2, never a traceback."""
+
+    def _fails(self, argv, capsys, needle):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert needle in captured.err
+
+    def test_empty_query_is_a_parse_error(self, schema_file, capsys):
+        self._fails(["decide", schema_file, ""], capsys, "end of input")
+
+    def test_unclosed_query_is_a_parse_error(self, schema_file, capsys):
+        self._fails(["plan", schema_file, "R(x"], capsys, "end of input")
+
+    @pytest.mark.parametrize("command", ["decide", "plan"])
+    def test_missing_schema_file(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.json")
+        self._fails([command, missing, "R(x)"], capsys, "missing.json")
+
+    def test_classify_missing_schema_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        self._fails(["classify", missing], capsys, "missing.json")
+
+    def test_malformed_schema_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        self._fails(["classify", str(path)], capsys, "line 1")
+
+    def test_schema_format_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"methods": []}))
+        self._fails(
+            ["decide", str(path), "R(x)"], capsys, "missing 'relations'"
+        )
+
+    def test_schema_error(self, tmp_path, capsys):
+        description = dict(UNIVERSITY)
+        description["methods"] = [{"name": "m", "relation": "Nope"}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(description))
+        self._fails(["classify", str(path)], capsys, "Nope")
+
+    @pytest.mark.parametrize("command", ["decide", "plan"])
+    @pytest.mark.parametrize(
+        "query, needle",
+        [
+            ("Udirectory(i, a)", "arity 3"),
+            ("Udirectory(i, a, p, q)", "arity 3"),
+            ("Prof(i, n)", "arity 3"),
+            ("Nope(x)", "does not declare"),
+        ],
+    )
+    def test_query_that_does_not_fit_the_schema(
+        self, schema_file, capsys, command, query, needle
+    ):
+        self._fails([command, schema_file, query], capsys, needle)
+
+
 class TestCLIBatch:
     def _run(self, schema_file, lines, tmp_path, extra=()):
         requests = tmp_path / "requests.jsonl"
