@@ -1,8 +1,8 @@
 """Substrate benchmark AB-3: the chase engine itself.
 
 Times the restricted chase on full-TGD closure workloads, existential
-TGD chains, FD merge cascades, and the semi-oblivious policy — the
-machinery every decider sits on.  Besides the pytest-benchmark tests,
+TGD chains, and FD merge cascades — the machinery every decider sits
+on.  Besides the pytest-benchmark tests,
 `collect_records` times every workload on both engines (``delta`` vs the
 ``naive`` reference), so the delta engine's speedup is measured in the
 same run on the same host.  ``main`` persists the comparison to
@@ -58,9 +58,9 @@ def chase_workloads(*, smoke: bool = False):
     point of the acceptance criterion (delta-only).
     """
 
-    def runner(start, rules, **fixed):
+    def runner(start, rules):
         return lambda engine, matcher=None, s=start, r=rules: chase(
-            s, r, engine=engine, matcher=matcher, **fixed
+            s, r, engine=engine, matcher=matcher
         )
 
     workloads = []
@@ -81,13 +81,6 @@ def chase_workloads(*, smoke: bool = False):
         workloads.append((
             f"fd-merge-cascade-n{size}", runner(start, [fd("R", [0], 1)]),
         ))
-    workloads.append((
-        "semi-oblivious-n30",
-        runner(
-            _path(30), [tgd("E(x, y) -> E(y, z)")],
-            policy="semi_oblivious", max_rounds=3, max_facts=50_000,
-        ),
-    ))
     return workloads
 
 
@@ -226,22 +219,6 @@ def test_fd_merge_cascade(benchmark, size):
     )
     assert result.outcome is ChaseOutcome.FIXPOINT
     assert len(result.instance) == 1
-
-
-@pytest.mark.parametrize("size", [10, 30])
-def test_semi_oblivious_vs_restricted(benchmark, size):
-    """The semi-oblivious policy fires satisfied triggers too."""
-    rules = [tgd("E(x, y) -> E(y, z)")]
-    start = _path(size)
-
-    def run():
-        return chase(
-            start, rules, policy="semi_oblivious", max_rounds=3,
-            max_facts=50_000,
-        )
-
-    result = benchmark(run)
-    assert len(result.instance) > size
 
 
 if __name__ == "__main__":

@@ -27,10 +27,11 @@ Commands
     ``--drain-timeout`` (graceful SIGTERM drain), ``--client-rate`` /
     ``--client-burst`` / ``--max-inflight-per-client`` (per-client
     quotas), ``--shed-after`` (Overloaded shedding at gate saturation).
-``supervise [SCHEMA.json] [--port P] ...``
-    The ``serve`` loop in a supervised child process: an ``op: ping``
+``fleet [SCHEMA.json] [--workers N] [--port P] ...``
+    ``serve`` workers in supervised child processes (``op: ping``
     health watchdog, crash restarts with jittered exponential backoff,
-    and a crash-loop breaker (``--max-crashes``/``--crash-window``).
+    a crash-loop breaker) behind a dispatcher that routes by schema
+    fingerprint.
 ``simplify SCHEMA.json {existence-check,fd,choice}``
     Print the simplified schema (JSON).
 ``classify SCHEMA.json [--json]``
@@ -82,6 +83,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .service import Session
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -114,13 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="budget for the ID route's backward UCQ rewriting; "
             "exceeding it yields UNKNOWN with a structured error "
             f"(default: {DEFAULT_MAX_DISJUNCTS})",
-        )
-        subparser.add_argument(
-            "--no-subsumption",
-            action="store_true",
-            help="disable subsumption pruning of the ID route's "
-            "rewriting (the pruned UCQ is logically equivalent; this "
-            "opt-out restores the raw rewriting output)",
         )
 
     def add_cache_dir(subparser: argparse.ArgumentParser) -> None:
@@ -209,28 +211,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_WORKERS,
         help="decision worker threads "
         f"(default: {DEFAULT_WORKERS})",
     )
     serve.add_argument(
         "--pool-size",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_POOL_SIZE,
         help="sessions per schema fingerprint "
         f"(default: {DEFAULT_POOL_SIZE})",
     )
     serve.add_argument(
         "--max-fingerprints",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_FINGERPRINTS,
         help="distinct schema fingerprints held live before LRU "
         f"eviction (default: {DEFAULT_MAX_FINGERPRINTS})",
     )
     serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_PENDING,
         help="bound on queued-or-running decisions; past it the server "
         "stops reading new frames until capacity frees "
@@ -313,94 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_limits(serve)
     add_cache_dir(serve)
 
-    supervise = commands.add_parser(
-        "supervise",
-        help="run the serve loop in a supervised child process: "
-        "health-check watchdog, crash restarts with jittered "
-        "exponential backoff, crash-loop breaker",
-    )
-    supervise.add_argument(
-        "schema",
-        nargs="?",
-        default=None,
-        help="path to the default JSON schema (optional: requests may "
-        "each carry an inline schema)",
-    )
-    def add_worker_options(subparser: argparse.ArgumentParser) -> None:
-        """Flags shared by the process-spawning commands (`supervise`,
-        `fleet`): the worker's serving shape plus restart policy."""
-        subparser.add_argument(
-            "--pool-size", type=int, default=DEFAULT_POOL_SIZE
-        )
-        subparser.add_argument(
-            "--max-fingerprints",
-            type=int,
-            default=DEFAULT_MAX_FINGERPRINTS,
-        )
-        subparser.add_argument(
-            "--max-pending", type=int, default=DEFAULT_MAX_PENDING
-        )
-        subparser.add_argument(
-            "--warm",
-            default=None,
-            metavar="MANIFEST",
-            help="fingerprint warmup manifest or precompiled bundle "
-            "each worker loads before reporting ready (and, in a "
-            "fleet, before joining the ring)",
-        )
-        add_cache_dir(subparser)
-        subparser.add_argument(
-            "--max-crashes",
-            type=int,
-            default=5,
-            help="crash-loop breaker: crashes tolerated inside the "
-            "window before giving up (default: 5)",
-        )
-        subparser.add_argument(
-            "--crash-window",
-            type=float,
-            default=30.0,
-            metavar="SECONDS",
-            help="crash-loop breaker window (default: 30)",
-        )
-        subparser.add_argument(
-            "--backoff-base",
-            type=float,
-            default=0.1,
-            metavar="SECONDS",
-            help="restart backoff base delay (default: 0.1)",
-        )
-        subparser.add_argument(
-            "--backoff-cap",
-            type=float,
-            default=5.0,
-            metavar="SECONDS",
-            help="restart backoff delay cap (default: 5)",
-        )
-        subparser.add_argument(
-            "--health-interval",
-            type=float,
-            default=1.0,
-            metavar="SECONDS",
-            help="seconds between op:ping health probes (default: 1)",
-        )
-
-    supervise.add_argument(
-        "--workers", type=int, default=DEFAULT_WORKERS
-    )
-    supervise.add_argument("--host", default="127.0.0.1")
-    supervise.add_argument(
-        "--port",
-        type=int,
-        default=DEFAULT_PORT,
-        help=f"TCP port for the worker (default: {DEFAULT_PORT}; 0 "
-        "for ephemeral — the watchdog follows the bound port "
-        "discovered from the worker's readiness line)",
-    )
-    add_worker_options(supervise)
-    add_serving_options(supervise)
-    add_limits(supervise)
-
     fleet = commands.add_parser(
         "fleet",
         help="prefork worker fleet: N supervised serve processes on "
@@ -418,20 +332,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=2,
         help="worker processes behind the dispatcher (default: 2)",
     )
     fleet.add_argument(
         "--worker-threads",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_WORKERS,
         help="decision threads inside each worker process "
         f"(default: {DEFAULT_WORKERS})",
     )
     fleet.add_argument(
         "--channels-per-worker",
-        type=int,
+        type=_positive_int,
         default=None,
         help="dispatcher connections per worker (default: the "
         "worker's thread count, so one worker's threads can all stay "
@@ -448,7 +362,60 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{DEFAULT_PORT}); workers always bind ephemeral ports, "
         "discovered from their readiness lines",
     )
-    add_worker_options(fleet)
+    fleet.add_argument(
+        "--pool-size", type=_positive_int, default=DEFAULT_POOL_SIZE
+    )
+    fleet.add_argument(
+        "--max-fingerprints",
+        type=_positive_int,
+        default=DEFAULT_MAX_FINGERPRINTS,
+    )
+    fleet.add_argument(
+        "--max-pending", type=_positive_int, default=DEFAULT_MAX_PENDING
+    )
+    fleet.add_argument(
+        "--warm",
+        default=None,
+        metavar="MANIFEST",
+        help="fingerprint warmup manifest or precompiled bundle each "
+        "worker loads before reporting ready and joining the ring",
+    )
+    add_cache_dir(fleet)
+    fleet.add_argument(
+        "--max-crashes",
+        type=int,
+        default=5,
+        help="crash-loop breaker: crashes tolerated inside the window "
+        "before giving up (default: 5)",
+    )
+    fleet.add_argument(
+        "--crash-window",
+        type=float,
+        default=30.0,
+        metavar="SECONDS",
+        help="crash-loop breaker window (default: 30)",
+    )
+    fleet.add_argument(
+        "--backoff-base",
+        type=float,
+        default=0.1,
+        metavar="SECONDS",
+        help="restart backoff base delay (default: 0.1)",
+    )
+    fleet.add_argument(
+        "--backoff-cap",
+        type=float,
+        default=5.0,
+        metavar="SECONDS",
+        help="restart backoff delay cap (default: 5)",
+    )
+    fleet.add_argument(
+        "--health-interval",
+        type=float,
+        default=1.0,
+        metavar="SECONDS",
+        help="seconds between op:ping health probes (default: 1)",
+    )
     add_serving_options(fleet)
     add_limits(fleet)
 
@@ -501,7 +468,6 @@ def _session(args: argparse.Namespace) -> Session:
         max_rounds=args.max_rounds,
         max_facts=args.max_facts,
         max_disjuncts=args.max_disjuncts,
-        subsumption=not args.no_subsumption,
         store=_open_store(args),
     )
 
@@ -556,7 +522,6 @@ def _limits(args: argparse.Namespace) -> SessionLimits:
         max_rounds=args.max_rounds,
         max_facts=args.max_facts,
         max_disjuncts=args.max_disjuncts,
-        subsumption=not args.no_subsumption,
         deadline_ms=getattr(args, "request_deadline", None),
     )
 
@@ -747,23 +712,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_serve_args(
-    args: argparse.Namespace, *, threads: int
-) -> tuple:
+def _worker_serve_args(args: argparse.Namespace) -> tuple:
     """The ``serve`` CLI flags a child worker inherits from a parsed
-    ``supervise``/``fleet`` namespace (everything except schema, bind
-    address, and warm manifest — those live on the `WorkerSpec`
-    proper)."""
+    ``fleet`` namespace (everything except schema, bind address, and
+    warm manifest — those live on the `WorkerSpec` proper)."""
     argv: list = []
-    argv += ["--workers", str(threads)]
+    argv += ["--workers", str(args.worker_threads)]
     argv += ["--pool-size", str(args.pool_size)]
     argv += ["--max-fingerprints", str(args.max_fingerprints)]
     argv += ["--max-pending", str(args.max_pending)]
     argv += ["--max-rounds", str(args.max_rounds)]
     argv += ["--max-facts", str(args.max_facts)]
     argv += ["--max-disjuncts", str(args.max_disjuncts)]
-    if args.no_subsumption:
-        argv.append("--no-subsumption")
     argv += ["--drain-timeout", str(args.drain_timeout)]
     if args.request_deadline is not None:
         argv += ["--request-deadline", str(args.request_deadline)]
@@ -784,22 +744,18 @@ def _worker_serve_args(
     return tuple(argv)
 
 
-def _worker_spec(
-    args: argparse.Namespace,
-    *,
-    threads: int,
-    host: str | None = None,
-    port: int | None = None,
-):
-    """Build the `WorkerSpec` shared by ``supervise`` and ``fleet`` —
-    one code path for spawn argv, health policy, and restart policy."""
+def _worker_spec(args: argparse.Namespace):
+    """Build the `WorkerSpec` of one ``fleet`` worker: spawn argv,
+    health policy, and restart policy.  Workers always bind loopback
+    ephemeral ports and announce them via the readiness handshake;
+    ``--host``/``--port`` are the *dispatcher*'s."""
     from .server.supervisor import BackoffPolicy, BreakerPolicy, WorkerSpec
 
     return WorkerSpec(
         schema=args.schema,
-        host=args.host if host is None else host,
-        port=args.port if port is None else port,
-        serve_args=_worker_serve_args(args, threads=threads),
+        host="127.0.0.1",
+        port=0,
+        serve_args=_worker_serve_args(args),
         warm=getattr(args, "warm", None),
         health_interval_s=args.health_interval,
         backoff=BackoffPolicy(
@@ -811,50 +767,6 @@ def _worker_spec(
     )
 
 
-def _cmd_supervise(args: argparse.Namespace) -> int:
-    from .server.supervisor import CrashLoopError
-
-    spec = _worker_spec(args, threads=args.workers)
-    supervisor = spec.supervisor()
-    where = (
-        f"{args.host}:{args.port}"
-        if args.port
-        else f"{args.host}:<ephemeral>"
-    )
-    print(
-        f"supervising serve worker on {where} "
-        f"(breaker: {args.max_crashes} crashes/{args.crash_window:g}s)",
-        file=sys.stderr,
-        flush=True,
-    )
-    # SIGTERM stops supervision gracefully: run()'s cleanup SIGTERMs
-    # the worker (which drains) and only then returns.
-    import signal
-
-    previous = None
-    try:
-        previous = signal.signal(
-            signal.SIGTERM, lambda *_: supervisor.stop()
-        )
-    except (ValueError, OSError):
-        previous = None  # non-main thread / platform without SIGTERM
-    try:
-        supervisor.run()
-    except KeyboardInterrupt:
-        # run()'s cleanup already drained the worker (SIGTERM, then
-        # kill after the grace period).
-        supervisor.stop()
-        print("supervisor stopped", file=sys.stderr, flush=True)
-        return 0
-    except CrashLoopError as error:
-        print(f"crash loop: {error}", file=sys.stderr, flush=True)
-        return 1
-    finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-    return 0
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import asyncio
     import os
@@ -862,16 +774,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from .server.fleet import Fleet, FleetDispatcher
 
-    workers = max(1, args.workers)
     channels = args.channels_per_worker or args.worker_threads
-    # Workers always bind loopback ephemeral ports and announce them
-    # via the readiness handshake; --host/--port are the *dispatcher*.
-    specs = [
-        _worker_spec(
-            args, threads=args.worker_threads, host="127.0.0.1", port=0
-        )
-        for __ in range(workers)
-    ]
+    specs = [_worker_spec(args) for __ in range(args.workers)]
 
     from .obs import MetricsRegistry, request_logger_from_format
 
@@ -899,7 +803,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             host, port = dispatcher.address
             print(
                 f"fleet dispatcher on {host}:{port} "
-                f"({admitted}/{workers} workers in ring, "
+                f"({admitted}/{args.workers} workers in ring, "
                 f"{args.worker_threads} threads each; Ctrl-C to stop)",
                 file=sys.stderr,
                 flush=True,
@@ -1016,7 +920,6 @@ def main(argv: list[str] | None = None) -> int:
         "plan": _cmd_plan,
         "batch": _cmd_batch,
         "serve": _cmd_serve,
-        "supervise": _cmd_supervise,
         "fleet": _cmd_fleet,
         "simplify": _cmd_simplify,
         "classify": _cmd_classify,

@@ -198,7 +198,6 @@ def decide_with_ids(
     max_rounds: Optional[int] = DEFAULT_CHASE_ROUNDS,
     max_facts: int = DEFAULT_CHASE_FACTS,
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-    subsumption: bool = True,
     budget: Optional[Budget] = None,
 ) -> Decision:
     """Monotone answerability for ID constraints.
@@ -209,13 +208,11 @@ def decide_with_ids(
     — so a batch of queries over one compiled schema shares every
     rewriting step.  ``route="chase"`` applies the existence-check
     simplification and chases directly (ablation baseline; may return
-    UNKNOWN on divergent chases).
-
-    ``subsumption`` (default on) prunes rewriting disjuncts hom-implied
-    by smaller kept ones before the canonical-database probes: the
-    pruned UCQ is logically equivalent, so the decision is unchanged
-    while fewer disjuncts are matched (set False to probe the raw
-    isomorphism-deduplicated rewriting — the pre-pruning behavior).
+    UNKNOWN on divergent chases).  The engine prunes rewriting
+    disjuncts hom-implied by smaller kept ones before the
+    canonical-database probes; the pruned UCQ is logically equivalent
+    to the raw one, so fewer disjuncts are matched for the same
+    decision.
     """
     compiled = _as_compiled(schema)
     if query.free_variables:
@@ -239,7 +236,7 @@ def decide_with_ids(
     start = system.initial_instance(query)
     target = prime_query(query)
     try:
-        rewriting = compiled.rewrite_engine(subsumption=subsumption).rewrite(
+        rewriting = compiled.rewrite_engine().rewrite(
             target, max_disjuncts=max_disjuncts, budget=budget
         )
     except RewritingBudgetExceeded as error:
@@ -444,7 +441,6 @@ def decide_monotone_answerability(
     max_rounds: Optional[int] = DEFAULT_CHASE_ROUNDS,
     max_facts: int = DEFAULT_CHASE_FACTS,
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-    subsumption: bool = True,
     budget: Optional[Budget] = None,
 ) -> AnswerabilityResult:
     """Decide monotone answerability, dispatching on the constraint class.
@@ -454,9 +450,7 @@ def decide_monotone_answerability(
     only (the FD route's chase terminates on its own; the linearized ID
     route does not chase).  ``max_disjuncts`` bounds the backward
     rewriting of the ID route; exceeding it yields UNKNOWN with a
-    structured `RewritingBudgetExceeded` detail.  ``subsumption``
-    (default on) lets the ID route prune rewriting disjuncts hom-implied
-    by smaller ones — logically equivalent, decision unchanged.  Schemas
+    structured `RewritingBudgetExceeded` detail.  Schemas
     mixing arbitrary TGDs with FDs *and* carrying result bounds have no
     applicable simplifiability theorem (the paper leaves choice
     simplifiability of FDs + general IDs open, §9) — those return
@@ -485,7 +479,6 @@ def decide_monotone_answerability(
                 query,
                 max_facts=max_facts,
                 max_disjuncts=max_disjuncts,
-                subsumption=subsumption,
                 budget=budget,
             ),
             "linearization",

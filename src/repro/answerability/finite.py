@@ -72,7 +72,6 @@ def decide_finite_monotone_answerability(
     max_rounds: Optional[int] = 25,
     max_facts: int = DEFAULT_CHASE_FACTS,
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-    subsumption: bool = True,
     budget: Optional[Budget] = None,
 ) -> AnswerabilityResult:
     """Decide monotone answerability over *finite* instances.
@@ -92,7 +91,6 @@ def decide_finite_monotone_answerability(
             max_rounds=max_rounds,
             max_facts=max_facts,
             max_disjuncts=max_disjuncts,
-            subsumption=subsumption,
             budget=budget,
         )
         result.decision.detail["finite_variant"] = (

@@ -342,7 +342,6 @@ def generate_static_plan(
     max_rounds: Optional[int] = 25,
     max_facts: Optional[int] = None,
     max_disjuncts: Optional[int] = None,
-    subsumption: bool = True,
     budget=None,
 ) -> Optional[Plan]:
     """Decide answerability via a proof-producing route and compile the
@@ -387,7 +386,6 @@ def generate_static_plan(
             max_disjuncts=DEFAULT_MAX_DISJUNCTS
             if max_disjuncts is None
             else max_disjuncts,
-            subsumption=subsumption,
             budget=budget,
         )
         if gate.is_no:

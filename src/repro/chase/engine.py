@@ -1,4 +1,4 @@
-"""The chase: restricted and semi-oblivious variants, TGD + EGD/FD steps.
+"""The restricted chase: TGD + EGD/FD steps.
 
 The chase (paper §2, "Query containment and chase proofs") repairs an
 instance against a set of dependencies:
@@ -10,17 +10,9 @@ instance against a set of dependencies:
   *hard violation* and the chase **fails** (the premises are
   unsatisfiable, which makes containment hold vacuously).
 
-Two trigger policies are supported:
-
-* ``restricted`` (default): only *active* triggers fire — triggers whose
-  head is not yet satisfied.  Reaching a fixpoint yields a universal model
-  (complete for containment).
-* ``semi_oblivious``: each (dependency, frontier-binding) pair fires at
-  most once but fires even when the head is satisfied.  This is the tree
-  chase used by the Johnson–Klug depth argument (App E.4) and by the
-  paper's oblivious blow-up constructions.
-
-Two engines implement those semantics:
+Only *active* triggers fire — triggers whose head is not yet satisfied
+— so reaching a fixpoint yields a universal model (complete for
+containment).  Two engines implement that semantics:
 
 * ``delta`` (default): a semi-naive engine.  Each round only considers
   triggers whose body image touches the *delta* — facts added or
@@ -35,12 +27,8 @@ Two engines implement those semantics:
 Both engines search through a `repro.matching` matcher (the ``matcher``
 argument; the process default when omitted): join orders and per-atom
 instructions are compiled once per (body, seed-shape) and reused across
-rounds, activeness/head-satisfaction checks are served as ground probes
-or from the generation-invalidated check cache, and — under the
-semi-oblivious policy — the delta engine enumerates triggers through
-`distinct_matches`, so frontier bindings that already fired prune the
-body search instead of being filtered after a full homomorphism was
-built.
+rounds, and activeness/head-satisfaction checks are served as ground
+probes or from the generation-invalidated check cache.
 * ``naive``: the reference engine.  Every round re-enumerates all
   triggers over the whole instance and rescans relations for FD/EGD
   violations.  It is kept as the executable specification the delta
@@ -314,17 +302,6 @@ def _apply_equalities(
                 changed = True
 
 
-def _frontier_key(
-    dependency_index: int, dependency: TGD, trigger: dict
-) -> tuple:
-    """Key identifying a semi-oblivious firing: rule + frontier binding."""
-    frontier = dependency.exported_variables()
-    return (
-        dependency_index,
-        tuple(trigger[v] for v in frontier if v in trigger),
-    )
-
-
 def _instantiate_head(
     dependency: TGD, trigger: dict, factory: NullFactory
 ) -> tuple[Atom, ...]:
@@ -579,38 +556,6 @@ def _head_rows_present(instance: Instance, head_rows: tuple) -> bool:
     return True
 
 
-def _collect_semi_oblivious(
-    exec_: _RuleExec,
-    seeds: list,
-    instance: Instance,
-    matcher,
-    fired: set,
-    budget: Optional[Budget],
-    record_env: bool,
-) -> tuple[list, int, int]:
-    """Semi-oblivious collection for one rule: one trigger per unfired
-    frontier binding (`distinct_matches` prunes fired ones mid-search)."""
-    dependency = exec_.dependency
-    body = dependency.body
-    pending = []
-    enumerated = 0
-    for atom_index, fact, __ in seeds:
-        seed = _seed_from_fact(body[atom_index], fact)
-        if seed is None:
-            continue
-        for trigger in matcher.distinct_matches(
-            dependency.body,
-            instance,
-            on=exec_.exported,
-            seed=seed,
-            skip=fired,
-            budget=budget,
-        ):
-            enumerated += 1
-            pending.append((exec_.index, dependency, trigger, {}, None))
-    return pending, enumerated, 0
-
-
 def _collect_restricted_int(
     exec_: _RuleExec,
     seeds: list,
@@ -803,7 +748,6 @@ def _chase_delta(
     *,
     max_rounds: Optional[int],
     max_facts: Optional[int],
-    policy: str,
     record_steps: bool,
     factory: NullFactory,
     stop_when: Optional[Callable[[Instance], bool]],
@@ -814,10 +758,10 @@ def _chase_delta(
 
     Each round is a collect/fire pair.  Collection — the read-only
     enumeration of delta-touching triggers — runs **per rule**: every
-    rule's seeds, dedup set, and (semi-oblivious) fired registry are
-    rule-local.  Collector results are concatenated in rule-index
-    order, which reproduces the naive engine's firing order (heads are
-    instantiated at *firing* time, in that order).
+    rule's seeds and dedup set are rule-local.  Collector results are
+    concatenated in rule-index order, which reproduces the naive
+    engine's firing order (heads are instantiated at *firing* time, in
+    that order).
     """
     stats = ChaseStats()
     steps: Optional[list[ChaseStep]] = [] if record_steps else None
@@ -830,13 +774,6 @@ def _chase_delta(
     rule_execs = [
         _RuleExec(index, dependency) for index, dependency in enumerate(tgds)
     ]
-    # Semi-oblivious firing registry: per rule, the frontier bindings
-    # already fired.  The matcher consults it *during* enumeration, so
-    # duplicate frontier keys prune the body search instead of being
-    # filtered after a full homomorphism was built.
-    fired: dict[int, set[tuple]] = {
-        index: set() for index in range(len(tgds))
-    }
     use_int = isinstance(matcher, Matcher)
     record_env = steps is not None
     rounds = 0
@@ -849,11 +786,6 @@ def _chase_delta(
 
     def collect(rule_index: int, seeds: list) -> tuple[list, int, int]:
         exec_ = rule_execs[rule_index]
-        if policy == "semi_oblivious":
-            return _collect_semi_oblivious(
-                exec_, seeds, state.instance, matcher,
-                fired[rule_index], budget, record_env,
-            )
         if use_int:
             return _collect_restricted_int(
                 exec_, seeds, state.instance, matcher, budget, record_env
@@ -901,9 +833,9 @@ def _chase_delta(
                 )
 
         # Collect per rule and merge in rule order (the naive engine's
-        # order): under the restricted policy the firing-time re-check
-        # makes a round's outcome depend on firing order, so matching
-        # the reference order keeps the engines interchangeable.
+        # order): the firing-time re-check makes a round's outcome
+        # depend on firing order, so matching the reference order keeps
+        # the engines interchangeable.
         pending: list = []
         for rule_index in sorted(seeds_by_rule):
             entries, enumerated, head_checks = collect(
@@ -916,20 +848,16 @@ def _chase_delta(
         added_any = False
         id_terms = instance.id_terms
         for __, dependency, trigger, exported, head_rows in pending:
-            if policy == "restricted":
-                # Re-check activeness: an earlier firing in this
-                # round may already satisfy this trigger.  Full-TGD
-                # entries re-probe their instantiated head rows
-                # directly; the rest go through the matcher's
-                # generation-tagged check cache.
-                stats.head_checks += 1
-                if head_rows is not None:
-                    if _head_rows_present(instance, head_rows):
-                        continue
-                elif matcher.has(
-                    dependency.head, instance, seed=exported
-                ):
+            # Re-check activeness: an earlier firing in this round may
+            # already satisfy this trigger.  Full-TGD entries re-probe
+            # their instantiated head rows directly; the rest go through
+            # the matcher's generation-tagged check cache.
+            stats.head_checks += 1
+            if head_rows is not None:
+                if _head_rows_present(instance, head_rows):
                     continue
+            elif matcher.has(dependency.head, instance, seed=exported):
+                continue
             if head_rows is not None:
                 # Full TGD with fully interned head rows: the
                 # produced facts are the rows read back through the
@@ -980,7 +908,6 @@ def _chase_naive(
     *,
     max_rounds: Optional[int],
     max_facts: Optional[int],
-    policy: str,
     record_steps: bool,
     factory: NullFactory,
     stop_when: Optional[Callable[[Instance], bool]],
@@ -992,7 +919,6 @@ def _chase_naive(
     instance = start.copy()
     steps: Optional[list[ChaseStep]] = [] if record_steps else None
     substitution: dict[GroundTerm, GroundTerm] = {}
-    fired: set[tuple] = set()
     rounds = 0
 
     def result(outcome: ChaseOutcome) -> ChaseResult:
@@ -1017,40 +943,33 @@ def _chase_naive(
         rounds += 1
         new_facts: list[tuple[TGD, dict, tuple[Atom, ...]]] = []
         # Collect triggers against the instance as of the round start.
-        for index, dependency in enumerate(tgds):
+        for dependency in tgds:
             for trigger in list(
                 matcher.homomorphisms(
                     dependency.body, instance, budget=budget
                 )
             ):
                 stats.triggers_enumerated += 1
-                if policy == "semi_oblivious":
-                    key = _frontier_key(index, dependency, trigger)
-                    if key in fired:
-                        continue
-                    fired.add(key)
-                else:
-                    stats.head_checks += 1
-                    if not dependency.is_active_trigger(
-                        trigger, instance, matcher
-                    ):
-                        continue
+                stats.head_checks += 1
+                if not dependency.is_active_trigger(
+                    trigger, instance, matcher
+                ):
+                    continue
                 produced = _instantiate_head(dependency, trigger, factory)
                 new_facts.append((dependency, dict(trigger), produced))
 
         added_any = False
         for dependency, trigger, produced in new_facts:
-            if policy == "restricted":
-                # Re-check activeness: an earlier firing in this round may
-                # already satisfy this trigger.
-                exported = {
-                    v: trigger[v]
-                    for v in dependency.exported_variables()
-                    if v in trigger
-                }
-                stats.head_checks += 1
-                if matcher.has(dependency.head, instance, seed=exported):
-                    continue
+            # Re-check activeness: an earlier firing in this round may
+            # already satisfy this trigger.
+            exported = {
+                v: trigger[v]
+                for v in dependency.exported_variables()
+                if v in trigger
+            }
+            stats.head_checks += 1
+            if matcher.has(dependency.head, instance, seed=exported):
+                continue
             new_here = [f for f in produced if instance.add(f)]
             if new_here:
                 added_any = True
@@ -1081,7 +1000,6 @@ def chase(
     *,
     max_rounds: Optional[int] = None,
     max_facts: Optional[int] = None,
-    policy: str = "restricted",
     record_steps: bool = False,
     null_factory: Optional[NullFactory] = None,
     stop_when: Optional[Callable[[Instance], bool]] = None,
@@ -1092,7 +1010,7 @@ def chase(
     """Chase `start` with the dependencies.
 
     The input instance is not modified.  See the module docstring for the
-    policies and outcome semantics.  ``stop_when`` is checked after every
+    outcome semantics.  ``stop_when`` is checked after every
     round (and once before the first round) and short-circuits the run —
     used by the containment solver to stop as soon as the target query
     matches.
@@ -1122,8 +1040,6 @@ def chase(
     deadline raises `repro.runtime.DeadlineExceeded` out of the chase
     within one backtrack batch.
     """
-    if policy not in ("restricted", "semi_oblivious"):
-        raise ValueError(f"unknown chase policy: {policy}")
     if engine not in ("delta", "naive"):
         raise ValueError(f"unknown chase engine: {engine}")
     tgds = [d for d in dependencies if isinstance(d, TGD)]
@@ -1141,7 +1057,6 @@ def chase(
             equality_deps,
             max_rounds=max_rounds,
             max_facts=max_facts,
-            policy=policy,
             record_steps=record_steps,
             factory=factory,
             stop_when=stop_when,

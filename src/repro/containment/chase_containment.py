@@ -77,7 +77,6 @@ def contains(
     *,
     max_rounds: Optional[int] = None,
     max_facts: Optional[int] = DEFAULT_MAX_FACTS,
-    policy: str = "restricted",
     engine: str = "delta",
     matcher=None,
 ) -> Decision:
@@ -115,7 +114,6 @@ def contains(
         dependencies,
         max_rounds=max_rounds,
         max_facts=max_facts,
-        policy=policy,
         stop_when=target_holds,
         engine=engine,
         matcher=matcher,

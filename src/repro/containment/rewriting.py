@@ -361,10 +361,10 @@ class RewriteEngine:
         """Attach a durable artifact store behind the result memo.
 
         ``namespace`` must separate engines that would disagree — the
-        binder (`CompiledSchema`) derives it from the schema fingerprint
-        and the subsumption flag, the two construction inputs a result
-        depends on.  Persistence is strictly advisory: loads that fail
-        to decode are misses, writes that fail are dropped.
+        binder (`CompiledSchema`) derives it from the schema
+        fingerprint, the construction input a result depends on.
+        Persistence is strictly advisory: loads that fail to decode are
+        misses, writes that fail are dropped.
         """
         with self._lock:
             self._store = store

@@ -27,11 +27,8 @@ idempotent, so a benign race between two threads lowering the same plan
 at worst duplicates the small amount of work.
 
 The executors return the same match sets as the reference
-`repro.matching.naive.NaiveMatcher`, and distinct enumeration keeps the
-term-space skip-set contract (keys are tuples of ground *terms*, not
-ids, so registries remain meaningful across instances); the property
-suite in ``tests/matching/test_intexec.py`` pins both down against the
-reference.
+`repro.matching.naive.NaiveMatcher`; the property suite in
+``tests/matching/test_intexec.py`` pins that down.
 """
 
 from __future__ import annotations
@@ -69,7 +66,6 @@ class IntPlan:
         "out_slots",
         "slot_of",
         "ground_templates",
-        "_on_specs",
     )
 
     def __init__(self, plan: MatchPlan) -> None:
@@ -141,15 +137,6 @@ class IntPlan:
             )
         else:
             self.ground_templates = ()
-        self._on_specs: dict[tuple[Term, ...], tuple] = {}
-
-    def on_spec(self, on: tuple[Term, ...]) -> tuple:
-        """``(slot, term)`` pairs for a distinct-projection key."""
-        spec = self._on_specs.get(on)
-        if spec is None:
-            spec = tuple((self.slot_of[term], term) for term in on)
-            self._on_specs[on] = spec
-        return spec
 
 
 def int_plan_of(plan: MatchPlan) -> IntPlan:
@@ -557,109 +544,3 @@ def int_slot_search(
     until the iterator is exhausted.
     """
     return _slot_search(iplan.steps, views, rig, slots, 0, budget)
-
-
-def int_distinct_search(
-    plan: MatchPlan,
-    instance: Instance,
-    on: tuple[Term, ...],
-    bound_depth: int,
-    skip: set,
-    seed: Optional[Mapping[Term, GroundTerm]],
-    budget: Optional[Budget],
-) -> Iterator[Assignment]:
-    """One full match per distinct projection on ``on`` (the engine of
-    `Matcher.distinct_matches`).
-
-    Projection keys are externed back to ground-term tuples before the
-    ``skip`` test, so registries passed across calls (the chase's
-    fired-trigger sets) keep their term-space meaning.  A seed value the
-    instance never interned reads from the seed mapping itself (its
-    slot holds the ``-1`` sentinel).
-    """
-    iplan = int_plan_of(plan)
-    rig, slots, views = _resolve(iplan, instance, seed)
-    id_terms = instance.id_terms
-    steps = iplan.steps
-    spec = iplan.on_spec(on)
-
-    def emit() -> Optional[Assignment]:
-        parts = []
-        for slot, term in spec:
-            value = slots[slot]
-            parts.append(seed[term] if value < 0 else id_terms[value])
-        key = tuple(parts)
-        if key in skip:
-            return None
-        trail: list[int] = []
-        if _find_from(
-            steps, views, rig, slots, bound_depth + 1, trail, budget
-        ):
-            skip.add(key)
-            result = _extern(iplan, slots, id_terms, seed)
-            for slot in trail:
-                slots[slot] = -1
-            return result
-        return None
-
-    def search(depth: int) -> Iterator[Assignment]:
-        step = steps[depth]
-        view = views[depth]
-        last = depth == bound_depth
-        if step[2] is not None:
-            if _probe_hit(step, view, slots, rig):
-                if last:
-                    result = emit()
-                    if result is not None:
-                        yield result
-                else:
-                    yield from search(depth + 1)
-            return
-        arity = step[1]
-        rigid_pairs = step[3]
-        bound_pairs = step[4]
-        bind_pairs = step[5]
-        for row in _candidates(step, view, slots, rig):
-            if budget is not None:
-                budget.tick()
-            if len(row) != arity:
-                continue
-            ok = True
-            for position, index in rigid_pairs:
-                if row[position] != rig[index]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for position, slot in bound_pairs:
-                if row[position] != slots[slot]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            newly: list[int] = []
-            for position, slot in bind_pairs:
-                value = row[position]
-                current = slots[slot]
-                if current < 0:
-                    slots[slot] = value
-                    newly.append(slot)
-                elif current != value:
-                    ok = False
-                    break
-            if ok:
-                if last:
-                    result = emit()
-                    if result is not None:
-                        yield result
-                else:
-                    yield from search(depth + 1)
-            for slot in newly:
-                slots[slot] = -1
-
-    if bound_depth < 0:
-        result = emit()
-        if result is not None:
-            yield result
-        return
-    yield from search(0)

@@ -12,12 +12,7 @@
   results are cached (the restricted chase's activeness re-checks are
   the canonical consumer);
 * **ground probes** — plans whose every atom is ground under the seed
-  shape skip both search and cache and test fact membership directly;
-* **distinct enumeration** — `distinct_matches` yields one full match
-  per distinct projection on a given term tuple, pruning the subtree as
-  soon as a projection is complete and already seen.  This is the
-  semi-oblivious chase's frontier fast path: duplicate frontier keys
-  are rejected *before* the remaining body atoms are enumerated.
+  shape skip both search and cache and test fact membership directly.
 
 The module also hosts the two query-shape predicates the rewriting
 engine needs — exact isomorphism (an injective, variable-to-variable
@@ -43,7 +38,6 @@ from ..logic.atoms import Atom
 from ..logic.terms import GroundTerm, Null, Term, Variable, fresh_null
 from ..runtime import Budget
 from .intexec import (
-    int_distinct_search,
     int_find,
     int_ground_probe,
     int_has,
@@ -236,7 +230,6 @@ class Matcher:
             "drift_checks": 0,
             "replans": 0,
             "enumerations": 0,
-            "distinct_enumerations": 0,
             "checks": 0,
             "ground_probe_checks": 0,
             "check_hits": 0,
@@ -393,38 +386,6 @@ class Matcher:
             counters["check_evictions"] += 1
         cache[key] = (result, generations)
         return result
-
-    def distinct_matches(
-        self,
-        atoms: Sequence[Atom],
-        instance: Instance,
-        *,
-        on: Sequence[Term],
-        seed: Optional[Mapping[Term, GroundTerm]] = None,
-        skip: Optional[set] = None,
-        flexible_nulls: bool = False,
-        budget: Optional[Budget] = None,
-    ) -> Iterator[Assignment]:
-        """One full match per distinct projection on ``on``.
-
-        Projections already in ``skip`` are pruned as soon as their
-        terms are bound — before the remaining atoms are enumerated
-        (the semi-oblivious chase's frontier fast path).  The projection
-        of every *yielded* match is added to ``skip``, so a set passed
-        across calls (the chase's fired-trigger registry) deduplicates
-        globally; failed projections are not recorded.
-        """
-        plan = self.plan_for(
-            atoms, instance, seed=seed, flexible_nulls=flexible_nulls
-        )
-        on = tuple(on)
-        bound_depth = plan.distinct_depth(on)
-        if skip is None:
-            skip = set()
-        self._counters["distinct_enumerations"] += 1
-        return int_distinct_search(
-            plan, instance, on, bound_depth, skip, seed, budget
-        )
 
     # -- query-shape predicates ---------------------------------------
     def is_isomorphic(

@@ -233,33 +233,6 @@ class NaiveMatcher:
             is not None
         )
 
-    def distinct_matches(
-        self,
-        atoms: Sequence[Atom],
-        instance: "Instance",
-        *,
-        on: Sequence[Term],
-        seed: Optional[Mapping[Term, GroundTerm]] = None,
-        skip: Optional[set] = None,
-        flexible_nulls: bool = False,
-        budget=None,
-    ) -> Iterator[Assignment]:
-        """Post-hoc dedup on the projection (the planned matcher prunes
-        the search instead; the yielded set is identical)."""
-        skip = skip if skip is not None else set()
-        for assignment in self.homomorphisms(
-            atoms,
-            instance,
-            seed=seed,
-            flexible_nulls=flexible_nulls,
-            budget=budget,
-        ):
-            key = tuple(assignment[t] for t in on)
-            if key in skip:
-                continue
-            skip.add(key)
-            yield assignment
-
     # -- query-shape predicates (same contracts as `Matcher`) ----------
     def is_isomorphic(
         self, left: Sequence[Atom], right: Sequence[Atom]

@@ -146,12 +146,10 @@ class MatchPlan:
         "compiled",
         "relations",
         "all_ground",
-        "soft_terms",
         "stats_snapshot",
         "int_plan",
         "replan_count",
         "drift_countdown",
-        "_distinct_depths",
     )
 
     def __init__(
@@ -167,20 +165,14 @@ class MatchPlan:
         self.order = _choose_order(atoms, seed_terms, flexible_nulls, instance)
         bound: set[Term] = set(seed_terms)
         compiled: list[CompiledAtom] = []
-        soft: set[Term] = set()
         for index in self.order:
-            atom = atoms[index]
-            entry = CompiledAtom(atom, bound, flexible_nulls)
+            entry = CompiledAtom(atoms[index], bound, flexible_nulls)
             compiled.append(entry)
             for __, term in entry.binds:
                 bound.add(term)
-            for term in atom.terms:
-                if _is_soft(term, flexible_nulls):
-                    soft.add(term)
         self.compiled = tuple(compiled)
         self.relations = tuple(sorted({a.relation for a in atoms}))
         self.all_ground = all(c.probe_template is not None for c in compiled)
-        self.soft_terms = frozenset(soft)
         #: Relation cardinalities the join order was chosen under,
         #: aligned with `relations`.  `Matcher.plan_for` compares these
         #: against the instance being searched and recompiles the plan
@@ -198,36 +190,6 @@ class MatchPlan:
         #: instance is caught immediately; afterwards checks run every
         #: `matcher.DRIFT_CHECK_STRIDE` hits).
         self.drift_countdown = 1
-        self._distinct_depths: dict[tuple[Term, ...], int] = {}
-
-    def distinct_depth(self, on: tuple[Term, ...]) -> int:
-        """The depth after which every term of ``on`` is bound.
-
-        Returns -1 when the seed already binds all of them; raises
-        ``ValueError`` when some term can never bind (it occurs neither
-        in the seed shape nor softly in the atoms).
-        """
-        depth = self._distinct_depths.get(on)
-        if depth is not None:
-            return depth
-        pending = {term for term in on if term not in self.seed_terms}
-        if not pending:
-            depth = -1
-        else:
-            unreachable = pending - self.soft_terms
-            if unreachable:
-                raise ValueError(
-                    f"distinct terms never bound by the plan: {unreachable}"
-                )
-            # Every non-seeded soft term first occurs as a bind of some
-            # atom of the order, so the walk always drains `pending`.
-            for index, entry in enumerate(self.compiled):
-                pending.difference_update(t for __, t in entry.binds)
-                if not pending:
-                    depth = index
-                    break
-        self._distinct_depths[on] = depth
-        return depth
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,6 @@
 """Structured JSON request logs: one line per request, to stderr.
 
-Enabled by ``--log-format json`` on ``serve``/``supervise``/``fleet``
+Enabled by ``--log-format json`` on ``serve``/``fleet``
 (the flag is forwarded to fleet workers).  Each record is a single
 JSON object per line — machine-parseable, append-only, no buffering
 surprises (every record is flushed).  Field glossary lives in the

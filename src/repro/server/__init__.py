@@ -37,8 +37,7 @@ Observability rides `repro.obs`: every layer here exposes
 snapshot (fleet-aggregated at the dispatcher), and ``--log-format
 json`` turns on one-JSON-line-per-request logs.
 
-Exposed on the CLI as ``python -m repro serve`` / ``supervise`` /
-``fleet``.
+Exposed on the CLI as ``python -m repro serve`` / ``fleet``.
 """
 
 import importlib

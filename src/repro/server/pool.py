@@ -65,7 +65,6 @@ class SessionLimits:
     max_rounds: Optional[int] = DEFAULT_CHASE_ROUNDS
     max_facts: int = DEFAULT_CHASE_FACTS
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
-    subsumption: bool = True
     cache_size: int = 1024
     #: Wall-clock deadline applied to every request that does not carry
     #: its own ``deadline_ms`` (None = unbounded).  A request deadline
@@ -80,7 +79,6 @@ class SessionLimits:
             max_rounds=self.max_rounds,
             max_facts=self.max_facts,
             max_disjuncts=self.max_disjuncts,
-            subsumption=self.subsumption,
             cache_size=self.cache_size,
             store=store,
         )
@@ -522,7 +520,6 @@ class SessionPool:
                     "max_rounds": self.limits.max_rounds,
                     "max_facts": self.limits.max_facts,
                     "max_disjuncts": self.limits.max_disjuncts,
-                    "subsumption": self.limits.subsumption,
                     "deadline_ms": self.limits.deadline_ms,
                 },
                 # Shard heat: per-fingerprint request/decision-cache-hit

@@ -34,9 +34,8 @@ log scraping, no port races.  The health watchdog and the fleet
 dispatcher both key off the discovered address.
 
 **WorkerSpec.**  The spawn/health/backoff configuration of one worker
-lives in a `WorkerSpec`, the single code path shared by ``python -m
-repro supervise`` (one worker) and ``python -m repro fleet`` (N
-workers): ``spec.supervisor()`` wires the spawn callable, the
+lives in a `WorkerSpec`; ``python -m repro fleet`` builds one per
+worker.  ``spec.supervisor()`` wires the spawn callable, the
 address-following health probe, and the restart policies together.
 
 ::
@@ -231,9 +230,8 @@ def serve_spawn(argv: list) -> Callable[[], WorkerHandle]:
 
 @dataclass
 class WorkerSpec:
-    """The spawn/health/backoff configuration of one serve worker —
-    the one code path ``supervise`` (a single worker) and ``fleet``
-    (N workers) share.
+    """The spawn/health/backoff configuration of one serve worker (the
+    ``fleet`` command builds one per worker).
 
     ``serve_args`` carries the serve CLI flags verbatim (limits,
     quotas, deadlines, drain): the spec does not re-model them, it
@@ -411,28 +409,6 @@ class Supervisor:
         """Ask the supervisor to stop; the worker is drained (SIGTERM,
         then killed after ``stop_grace_s``) by the `run` loop's exit."""
         self._stop.set()
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def describe(self) -> dict:
-        """Supervision state as a JSON-safe stats block (the fleet's
-        per-member ``supervision`` entries carry the same fields)."""
-        worker = self.worker
-        return {
-            "generation": self.generation,
-            "restarts": self.restarts,
-            "alive": bool(worker is not None and worker.is_alive()),
-            "pid": getattr(worker, "pid", None),
-            "crashes_in_window": len(self._crashes),
-            "stopping": self._stop.is_set(),
-        }
-
-    def register_metrics(self, registry, name: str = "supervisor") -> None:
-        """Register `describe` as a `repro.obs.MetricsRegistry`
-        provider (``repro_supervisor_*`` samples; DESIGN.md §3c).
-        ``name`` disambiguates multi-supervisor processes."""
-        registry.register_provider(name, self.describe)
 
     # ------------------------------------------------------------------
     def _watch(self, worker: object) -> bool:

@@ -125,23 +125,19 @@ class CompiledSchema:
     def bind_store(self, store) -> None:
         """Attach a durable `repro.cache.ArtifactStore`.
 
-        Rewrite engines built by this compiled schema (existing and
-        future) get the store bound behind their result memo, under a
-        namespace derived from the fingerprint and the subsumption flag
-        — the inputs a memoized result depends on.
+        The rewrite engine built by this compiled schema (now or later)
+        gets the store bound behind its result memo, under a namespace
+        derived from the fingerprint.
         """
         with self._lock:
             self._store = store
-            for key in ("rewrite-engine", "rewrite-engine:subsumption"):
-                engine = self._artifacts.get(key)
-                if engine is not None:
-                    engine.bind_store(
-                        store, self._rewrite_namespace(key.endswith("subsumption"))
-                    )
+            engine = self._artifacts.get("rewrite-engine")
+            if engine is not None:
+                engine.bind_store(store, self._rewrite_namespace())
 
-    def _rewrite_namespace(self, subsumption: bool) -> str:
-        flavor = "sub" if subsumption else "nosub"
-        return f"rewrite:{self.fingerprint}:{flavor}"
+    def _rewrite_namespace(self) -> str:
+        # ":sub" names the pruning engine; kept so existing stores still hit.
+        return f"rewrite:{self.fingerprint}:sub"
 
     # ------------------------------------------------------------------
     # Frozen artifacts
@@ -194,56 +190,33 @@ class CompiledSchema:
             "linearization", lambda: linearize(self.elimub())
         )
 
-    def rewrite_engine(self, *, subsumption: bool = False) -> "RewriteEngine":
+    def rewrite_engine(self) -> "RewriteEngine":
         """The incremental backward-rewriting engine over Σ^Lin.
 
-        One engine per (fingerprint, subsumption flag): every query
+        One subsumption-pruning engine per fingerprint: every query
         decided on the ID route through this compiled schema shares its
         memoized rule index, per-atom rewrite steps, and canonical
-        frontier states.  The flag is part of the artifact key because
-        an engine's memoized results are fixed to the setting it was
-        constructed under; both variants share this schema's matcher.
+        frontier states, and it searches with this schema's matcher.
         """
         from ..containment.rewriting import RewriteEngine
-
-        key = "rewrite-engine:subsumption" if subsumption else "rewrite-engine"
 
         def build() -> "RewriteEngine":
             engine = RewriteEngine(
                 self.linearization().rules,
+                subsumption=True,
                 matcher=self.matcher(),
-                subsumption=subsumption,
             )
             if self._store is not None:
-                engine.bind_store(
-                    self._store, self._rewrite_namespace(subsumption)
-                )
+                engine.bind_store(self._store, self._rewrite_namespace())
             return engine
 
-        return self._artifact(key, build)
+        return self._artifact("rewrite-engine", build)
 
     def engine_stats(self) -> dict:
-        """Cache counters of the rewrite engine(s) ({} until one is built).
-
-        When both the plain and the subsumption-pruning engine exist,
-        integer counters are summed (``rules`` is shared, not summed) so
-        session-level diagnostics see the fingerprint's total rewriting
-        traffic."""
+        """Cache counters of the rewrite engine ({} until it is built)."""
         with self._lock:
-            engines = [
-                self._artifacts[key]
-                for key in ("rewrite-engine", "rewrite-engine:subsumption")
-                if key in self._artifacts
-            ]
-        if not engines:
-            return {}
-        merged = engines[0].stats()
-        for engine in engines[1:]:
-            for name, value in engine.stats().items():
-                if name == "rules":
-                    continue
-                merged[name] = merged.get(name, 0) + value
-        return merged
+            engine = self._artifacts.get("rewrite-engine")
+        return engine.stats() if engine is not None else {}
 
     def matcher(self) -> "Matcher":
         """The compiled homomorphism matcher owned by this fingerprint.

@@ -25,10 +25,7 @@ functions; routes with their own termination guarantee (the FD chase,
 the linearized-rewriting ID route) are unaffected by ``max_rounds``.
 ``max_disjuncts`` bounds the ID route's backward rewriting; exceeding
 it yields UNKNOWN with a structured ``error`` on the response instead
-of a traceback.  ``subsumption`` (on by default) lets the ID route
-prune rewriting disjuncts hom-implied by smaller kept ones — the
-pruned UCQ is logically equivalent, so decisions are unchanged;
-``subsumption=False`` restores the raw rewriting output.
+of a traceback.
 """
 
 from __future__ import annotations
@@ -142,7 +139,6 @@ class Session:
         max_rounds: Optional[int] = DEFAULT_CHASE_ROUNDS,
         max_facts: int = DEFAULT_CHASE_FACTS,
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-        subsumption: bool = True,
         cache_size: int = 1024,
         store=None,
     ) -> None:
@@ -151,7 +147,6 @@ class Session:
         self.max_rounds = max_rounds
         self.max_facts = max_facts
         self.max_disjuncts = max_disjuncts
-        self.subsumption = subsumption
         self.cache_size = cache_size
         #: The decision LRU: canonical key -> (response, texts), where
         #: ``texts`` are the last `MAX_TEXTS_PER_ENTRY` exact request
@@ -299,8 +294,8 @@ class Session:
 
         Besides the operation and the canonical query form, the key
         folds in every session limit that can change the answer
-        (``max_rounds``/``max_facts``/``max_disjuncts``/``subsumption``)
-        — sessions under different limits never share durable entries.
+        (``max_rounds``/``max_facts``/``max_disjuncts``) — sessions
+        under different limits never share durable entries.
         """
         text = "|".join(
             (
@@ -310,7 +305,8 @@ class Session:
                 str(self.max_rounds),
                 str(self.max_facts),
                 str(self.max_disjuncts),
-                str(self.subsumption),
+                # Was the subsumption flag; kept so existing stores still hit.
+                "True",
             )
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -439,7 +435,6 @@ class Session:
                 max_rounds=self.max_rounds,
                 max_facts=self.max_facts,
                 max_disjuncts=self.max_disjuncts,
-                subsumption=self.subsumption,
                 budget=budget,
             )
         return decide_monotone_answerability(
@@ -448,7 +443,6 @@ class Session:
             max_rounds=self.max_rounds,
             max_facts=self.max_facts,
             max_disjuncts=self.max_disjuncts,
-            subsumption=self.subsumption,
             budget=budget,
         )
 
@@ -498,7 +492,6 @@ class Session:
                 max_rounds=self.max_rounds,
                 max_facts=self.max_facts,
                 max_disjuncts=self.max_disjuncts,
-                subsumption=self.subsumption,
                 budget=budget,
             )
         except PlanExtractionError as error:
@@ -545,7 +538,6 @@ class Session:
             "max_rounds": self.max_rounds,
             "max_facts": self.max_facts,
             "max_disjuncts": self.max_disjuncts,
-            "subsumption": self.subsumption,
         }
         report["cache"] = self.cache_info()
         report["compile_stats"] = dict(self.compiled.stats)

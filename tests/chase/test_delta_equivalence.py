@@ -1,7 +1,7 @@
 """Cross-check: the delta (semi-naive) engine ≡ the naive reference.
 
 The delta engine must produce identical `ChaseOutcome`s, round counts,
-and final instances (up to null renaming) for every policy, and so must
+and final instances (up to null renaming), and so must
 the delta engine run on the naive reference matcher (its generic,
 dict-environment trigger collector) against the same engine on the
 planned `Matcher` (its int-space collector).  The
@@ -87,13 +87,12 @@ def _random_workload(rng: random.Random):
     return instance, rules
 
 
-def _run_both(instance, rules, *, policy, max_rounds=6, max_facts=120):
+def _run_both(instance, rules, *, max_rounds=6, max_facts=120):
     results = {}
     for engine in ("naive", "delta"):
         results[engine] = chase(
             instance,
             rules,
-            policy=policy,
             max_rounds=max_rounds,
             max_facts=max_facts,
             engine=engine,
@@ -102,8 +101,8 @@ def _run_both(instance, rules, *, policy, max_rounds=6, max_facts=120):
     return results["naive"], results["delta"]
 
 
-def _assert_equivalent(naive, delta, seed, policy):
-    context = f"seed={seed} policy={policy}"
+def _assert_equivalent(naive, delta, seed):
+    context = f"seed={seed}"
     assert naive.outcome is delta.outcome, (
         f"{context}: outcome {naive.outcome} != {delta.outcome}"
     )
@@ -127,23 +126,20 @@ class TestSeededEquivalence:
     """Fast deterministic cross-checks (always run)."""
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("policy", ["restricted", "semi_oblivious"])
-    def test_random_workloads_agree(self, seed, policy):
+    def test_random_workloads_agree(self, seed):
         rng = random.Random(seed)
         instance, rules = _random_workload(rng)
-        naive, delta = _run_both(instance, rules, policy=policy)
-        _assert_equivalent(naive, delta, seed, policy)
+        naive, delta = _run_both(instance, rules)
+        _assert_equivalent(naive, delta, seed)
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("policy", ["restricted", "semi_oblivious"])
-    def test_delta_on_naive_matcher_agrees(self, seed, policy):
+    def test_delta_on_naive_matcher_agrees(self, seed):
         rng = random.Random(seed)
         instance, rules = _random_workload(rng)
         planned, reference = (
             chase(
                 instance,
                 rules,
-                policy=policy,
                 max_rounds=6,
                 max_facts=120,
                 matcher=matcher,
@@ -151,7 +147,7 @@ class TestSeededEquivalence:
             )
             for matcher in (Matcher(), NaiveMatcher())
         )
-        _assert_equivalent(reference, planned, seed, policy)
+        _assert_equivalent(reference, planned, seed)
         assert reference.stats.searches == planned.stats.searches
 
     def test_transitive_closure_agrees(self):
@@ -161,8 +157,8 @@ class TestSeededEquivalence:
         rules = [
             tgd("E(x, y) -> T(x, y)"), tgd("T(x, y), E(y, z) -> T(x, z)")
         ]
-        naive, delta = _run_both(instance, rules, policy="restricted")
-        _assert_equivalent(naive, delta, "tc", "restricted")
+        naive, delta = _run_both(instance, rules)
+        _assert_equivalent(naive, delta, "tc")
         assert set(naive.instance) == set(delta.instance)  # no nulls at all
 
     def test_failure_agrees(self):
@@ -170,9 +166,7 @@ class TestSeededEquivalence:
             [Atom("R", (Constant(1), Constant("a"))),
              Atom("R", (Constant(1), Constant("b")))]
         )
-        naive, delta = _run_both(
-            instance, [fd("R", [0], 1)], policy="restricted"
-        )
+        naive, delta = _run_both(instance, [fd("R", [0], 1)])
         assert naive.outcome is delta.outcome is ChaseOutcome.FAILED
 
     def test_substitution_constant_targets_agree(self):
@@ -180,9 +174,7 @@ class TestSeededEquivalence:
             [Atom("R", (Constant(1), Null("a"))),
              Atom("R", (Constant(1), Constant("v")))]
         )
-        naive, delta = _run_both(
-            instance, [fd("R", [0], 1)], policy="restricted"
-        )
+        naive, delta = _run_both(instance, [fd("R", [0], 1)])
         assert naive.substitution == delta.substitution == {
             Null("a"): Constant("v")
         }
@@ -196,17 +188,8 @@ class TestRandomizedEquivalence:
     def test_restricted_sweep(self, seed):
         rng = random.Random(10_000 + seed)
         instance, rules = _random_workload(rng)
-        naive, delta = _run_both(instance, rules, policy="restricted")
-        _assert_equivalent(naive, delta, 10_000 + seed, "restricted")
-
-    @pytest.mark.parametrize("seed", range(120))
-    def test_semi_oblivious_sweep(self, seed):
-        rng = random.Random(20_000 + seed)
-        instance, rules = _random_workload(rng)
-        naive, delta = _run_both(
-            instance, rules, policy="semi_oblivious", max_rounds=4
-        )
-        _assert_equivalent(naive, delta, 20_000 + seed, "semi_oblivious")
+        naive, delta = _run_both(instance, rules)
+        _assert_equivalent(naive, delta, 10_000 + seed)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_early_stop_agrees(self, seed):
@@ -245,7 +228,7 @@ class TestSearchEffort:
         rules = [
             tgd("E(x, y) -> T(x, y)"), tgd("T(x, y), E(y, z) -> T(x, z)")
         ]
-        naive, delta = _run_both(instance, rules, policy="restricted")
+        naive, delta = _run_both(instance, rules)
         assert delta.stats.searches <= naive.stats.searches
         # ... and on a workload this shape, strictly far fewer.
         assert delta.stats.searches < naive.stats.searches / 2
@@ -254,8 +237,6 @@ class TestSearchEffort:
         instance = Instance(
             Atom("R", (Constant("k"), Null(f"n{i}"))) for i in range(40)
         )
-        naive, delta = _run_both(
-            instance, [fd("R", [0], 1)], policy="restricted"
-        )
+        naive, delta = _run_both(instance, [fd("R", [0], 1)])
         assert delta.stats.merges == naive.stats.merges == 39
         assert delta.stats.searches <= naive.stats.searches

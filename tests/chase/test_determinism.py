@@ -69,11 +69,10 @@ def _random_workload(rng: random.Random):
     return instance, rules
 
 
-def _run(instance, rules, *, policy, matcher, max_rounds=6, max_facts=120):
+def _run(instance, rules, *, matcher, max_rounds=6, max_facts=120):
     return chase(
         instance,
         rules,
-        policy=policy,
         max_rounds=max_rounds,
         max_facts=max_facts,
         record_steps=True,
@@ -108,42 +107,36 @@ def _assert_identical(first, second, context):
     assert first.stats.merges == second.stats.merges
 
 
-def _assert_matcher_state_irrelevant(instance, rules, *, policy, context,
-                                     **bounds):
-    fresh = _run(
-        instance, rules, policy=policy, matcher=Matcher(), **bounds
-    )
+def _assert_matcher_state_irrelevant(instance, rules, *, context, **bounds):
+    fresh = _run(instance, rules, matcher=Matcher(), **bounds)
     warmed = Matcher()
-    _run(instance, rules, policy=policy, matcher=warmed, **bounds)
+    _run(instance, rules, matcher=warmed, **bounds)
     _assert_identical(
         fresh,
-        _run(instance, rules, policy=policy, matcher=warmed, **bounds),
+        _run(instance, rules, matcher=warmed, **bounds),
         f"{context} warm matcher",
     )
     starved = Matcher(plan_cache_size=1, check_cache_limit=1)
     _assert_identical(
         fresh,
-        _run(instance, rules, policy=policy, matcher=starved, **bounds),
+        _run(instance, rules, matcher=starved, **bounds),
         f"{context} starved caches",
     )
     return fresh
 
 
-def check_one_case(seed: int, policy: str) -> None:
+def check_one_case(seed: int) -> None:
     rng = random.Random(seed)
     instance, rules = _random_workload(rng)
-    _assert_matcher_state_irrelevant(
-        instance, rules, policy=policy, context=f"seed={seed} policy={policy}"
-    )
+    _assert_matcher_state_irrelevant(instance, rules, context=f"seed={seed}")
 
 
 class TestSeededDeterminism:
     """Fast deterministic cross-checks (always run in tier 1)."""
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("policy", ["restricted", "semi_oblivious"])
-    def test_random_workloads_identical(self, seed, policy):
-        check_one_case(seed, policy)
+    def test_random_workloads_identical(self, seed):
+        check_one_case(seed)
 
     def test_transitive_closure_identical(self):
         instance = Instance(
@@ -154,7 +147,7 @@ class TestSeededDeterminism:
             tgd("P(x, y), E(y, z) -> P(x, z)"),
         ]
         result = _assert_matcher_state_irrelevant(
-            instance, rules, policy="restricted", context="tc",
+            instance, rules, context="tc",
             max_rounds=40, max_facts=500,
         )
         # Full closure of the 17-node chain: C(17, 2) P facts + 16 E.
@@ -170,7 +163,7 @@ class TestSeededDeterminism:
         )
         rules = [fd("R", [0], 1), tgd("R(x, y) -> S(y, x)")]
         result = _assert_matcher_state_irrelevant(
-            instance, rules, policy="restricted", context="fd clash"
+            instance, rules, context="fd clash"
         )
         assert result.outcome is ChaseOutcome.FAILED
 
@@ -180,6 +173,5 @@ class TestDeterminismSweeps:
     """Broad randomized sweeps (nightly; run with ``pytest -m slow``)."""
 
     @pytest.mark.parametrize("seed", range(60))
-    @pytest.mark.parametrize("policy", ["restricted", "semi_oblivious"])
-    def test_restricted_and_oblivious_sweep(self, seed, policy):
-        check_one_case(70_000 + seed, policy)
+    def test_restricted_sweep(self, seed):
+        check_one_case(70_000 + seed)

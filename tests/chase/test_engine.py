@@ -32,22 +32,6 @@ class TestTGDChase:
         assert result.outcome is ChaseOutcome.FIXPOINT
         assert len(result.instance.facts_of("S")) == 1  # no new null
 
-    def test_semi_oblivious_fires_anyway(self):
-        inst = Instance([ground_atom("R", 1), ground_atom("S", 1, 7)])
-        result = chase(
-            inst, [tgd("R(x) -> S(x, z)")], policy="semi_oblivious",
-            max_rounds=5,
-        )
-        assert len(result.instance.facts_of("S")) == 2
-
-    def test_semi_oblivious_fires_once_per_frontier(self):
-        inst = Instance([ground_atom("R", 1)])
-        result = chase(
-            inst, [tgd("R(x) -> S(x, z)")], policy="semi_oblivious",
-            max_rounds=10,
-        )
-        assert len(result.instance.facts_of("S")) == 1
-
     def test_divergent_chase_hits_bound(self):
         inst = Instance([ground_atom("R", 1, 2)])
         result = chase(inst, [tgd("R(x, y) -> R(y, z)")], max_rounds=4)
@@ -210,50 +194,3 @@ class TestDeterministicMerges:
         )
         result = chase(inst, [fd("R", [0], 1)], engine=engine)
         assert result.substitution == {Null("beta"): Null("alpha")}
-
-
-class TestFrontierDedupAfterMerges:
-    """Semi-oblivious dedup when an EGD merge renames a frontier term.
-
-    The frontier-key ledger stores the terms seen at firing time; a
-    merge that renames a frontier term makes the rewritten trigger a
-    *new* frontier binding, so the rule fires again on it.  Both engines
-    must agree on this behaviour.
-    """
-
-    @pytest.mark.parametrize("engine", ["delta", "naive"])
-    def test_renamed_frontier_refires(self, engine):
-        # Round 1: S(n5) fires the observed rule (frontier n5) and also
-        # produces R(1, n5), which violates the FD against R(1, n0); the
-        # merge keeps n0 (older) and rewrites S(n5) to S(n0).  The
-        # rewritten trigger is a *new* frontier binding, so the observed
-        # rule fires once more in round 2.
-        inst = Instance(
-            [
-                ground_atom("R", 1, Null("n0")),
-                ground_atom("S", Null("n5")),
-            ]
-        )
-        rules = [
-            tgd("S(x) -> T(x, w)"),
-            tgd("S(x) -> R(1, x)"),
-            fd("R", [0], 1),
-        ]
-        result = chase(
-            inst, rules, policy="semi_oblivious", max_rounds=6, engine=engine
-        )
-        assert result.outcome is ChaseOutcome.FIXPOINT
-        t_facts = result.instance.facts_of("T")
-        # Two firings: one on the original frontier (its output rewritten
-        # to n0 by the merge), one on the renamed frontier.
-        assert len(t_facts) == 2
-        assert all(f.terms[0] == Null("n0") for f in t_facts)
-
-    @pytest.mark.parametrize("engine", ["delta", "naive"])
-    def test_stable_frontier_fires_once(self, engine):
-        inst = Instance([ground_atom("S", 3)])
-        rules = [tgd("S(x) -> T(x, w)")]
-        result = chase(
-            inst, rules, policy="semi_oblivious", max_rounds=6, engine=engine
-        )
-        assert len(result.instance.facts_of("T")) == 1

@@ -14,8 +14,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from repro.io import schema_to_dict
 from repro.workloads import lookup_chain_workload
 
@@ -133,88 +131,3 @@ class TestSigtermDrain:
             assert process.wait(timeout=15) == 0
         finally:
             terminate(process)
-
-
-@pytest.mark.slow
-class TestSupervisorEndToEnd:
-    def test_supervise_restarts_a_killed_worker(self, tmp_path):
-        """Kill -9 the worker: the supervisor must bring a fresh one up
-        on the same port."""
-        workload = lookup_chain_workload(3)
-        schema_path = tmp_path / "schema.json"
-        schema_path.write_text(
-            json.dumps(schema_to_dict(workload.schema))
-        )
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "supervise",
-                str(schema_path),
-                "--port",
-                str(port),
-                "--health-interval",
-                "0.2",
-                "--backoff-base",
-                "0.05",
-            ],
-            env=env,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
-
-        def ping():
-            try:
-                with socket.create_connection(
-                    ("127.0.0.1", port), timeout=1
-                ) as conn:
-                    conn.settimeout(1)
-                    conn.sendall(b'{"op": "stats"}\n')
-                    data = b""
-                    while not data.endswith(b"\n"):
-                        chunk = conn.recv(4096)
-                        if not chunk:
-                            return None
-                        data += chunk
-                return json.loads(data)
-            except OSError:
-                return None
-
-        def wait_healthy(deadline_s=30):
-            deadline = time.monotonic() + deadline_s
-            while time.monotonic() < deadline:
-                stats = ping()
-                if stats is not None:
-                    return stats
-                time.sleep(0.1)
-            raise AssertionError("worker never became healthy")
-
-        try:
-            first = wait_healthy()
-            assert first["server"]["workers"] >= 1
-            # Find and SIGKILL the worker (the supervisor's only child).
-            children = subprocess.run(
-                ["pgrep", "-P", str(process.pid)],
-                capture_output=True,
-                text=True,
-            ).stdout.split()
-            assert children, "no worker child found"
-            os.kill(int(children[0]), signal.SIGKILL)
-            # A fresh worker (fresh counters) comes back on the port.
-            second = wait_healthy()
-            assert second["server"]["connections"] <= first["server"][
-                "connections"
-            ] + 1
-        finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                process.wait(15)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(10)

@@ -1,6 +1,6 @@
-"""Unit tests for `WorkerSpec` — the spawn/health/backoff config that
-``supervise`` and ``fleet`` share — and the supervisor's worker
-lifecycle hooks the fleet's ring admission rides on."""
+"""Unit tests for `WorkerSpec` — the spawn/health/backoff config of a
+``fleet`` worker — and the supervisor's worker lifecycle hooks the
+fleet's ring admission rides on."""
 
 import threading
 
@@ -48,7 +48,7 @@ class TestServeArgv:
             host="0.0.0.0",
             port=9000,
             warm="manifest.json",
-            serve_args=("--max-rounds", "50", "--no-subsumption"),
+            serve_args=("--max-rounds", "50", "--log-format", "json"),
         )
         assert spec.serve_argv() == [
             "schema.json",
@@ -56,7 +56,7 @@ class TestServeArgv:
             "--port", "9000",
             "--warm", "manifest.json",
             "--max-rounds", "50",
-            "--no-subsumption",
+            "--log-format", "json",
         ]
 
     def test_serve_args_are_transported_verbatim(self):

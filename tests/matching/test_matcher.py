@@ -1,7 +1,5 @@
 """Unit tests for the compiled matching core (`repro.matching`)."""
 
-import pytest
-
 from repro.data import Instance
 from repro.logic import Atom, Constant, Null, Variable, atom
 from repro.matching import Matcher, NaiveMatcher, freeze_atoms
@@ -158,84 +156,6 @@ class TestCheckCache:
         stats = matcher.stats()
         assert stats["ground_probe_checks"] == 2
         assert stats["check_misses"] == 0
-
-
-class TestDistinctMatches:
-    def test_one_match_per_projection(self):
-        matcher = Matcher()
-        inst = Instance(
-            [_ground("R", 1, i) for i in range(5)] + [_ground("S", 1)]
-        )
-        body = (atom("S", "x"), atom("R", "x", "y"))
-        x = Variable("x")
-        matches = list(matcher.distinct_matches(body, inst, on=(x,)))
-        assert len(matches) == 1
-        assert matches[0][x] == Constant(1)
-
-    def test_skip_set_is_consulted_and_extended(self):
-        matcher = Matcher()
-        inst = Instance([_ground("R", 1, 2), _ground("R", 3, 4)])
-        body = (atom("R", "x", "y"),)
-        x = Variable("x")
-        skip = {(Constant(1),)}
-        matches = list(
-            matcher.distinct_matches(body, inst, on=(x,), skip=skip)
-        )
-        assert [m[x] for m in matches] == [Constant(3)]
-        assert (Constant(3),) in skip
-
-    def test_failed_completion_not_recorded(self):
-        matcher = Matcher()
-        inst = Instance([_ground("R", 1, 2)])
-        # S(y) never matches: the completion after binding x fails.
-        body = (atom("R", "x", "y"), atom("S", "y"))
-        x = Variable("x")
-        skip = set()
-        assert not list(
-            matcher.distinct_matches(body, inst, on=(x,), skip=skip)
-        )
-        assert not skip
-
-    def test_empty_projection_fires_once(self):
-        matcher = Matcher()
-        inst = Instance([_ground("R", 1, 2), _ground("R", 3, 4)])
-        body = (atom("R", "x", "y"),)
-        skip = set()
-        matches = list(
-            matcher.distinct_matches(body, inst, on=(), skip=skip)
-        )
-        assert len(matches) == 1
-        assert () in skip
-        # A later call with the same registry yields nothing.
-        assert not list(
-            matcher.distinct_matches(body, inst, on=(), skip=skip)
-        )
-
-    def test_unbound_projection_term_raises(self):
-        matcher = Matcher()
-        inst = Instance([_ground("R", 1, 2)])
-        with pytest.raises(ValueError):
-            list(
-                matcher.distinct_matches(
-                    (atom("R", "x", "y"),), inst, on=(Variable("zz"),)
-                )
-            )
-
-    def test_matches_naive_projection_set(self):
-        matcher = Matcher()
-        naive = NaiveMatcher()
-        inst = Instance(
-            [_ground("R", i % 3, i) for i in range(9)]
-        )
-        body = (atom("R", "x", "y"),)
-        x = Variable("x")
-        planned_keys = {
-            m[x] for m in matcher.distinct_matches(body, inst, on=(x,))
-        }
-        naive_keys = {
-            m[x] for m in naive.distinct_matches(body, inst, on=(x,))
-        }
-        assert planned_keys == naive_keys
 
 
 class TestIsomorphism:

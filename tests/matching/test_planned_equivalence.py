@@ -6,8 +6,8 @@ the homomorphism set of the naive backtracking reference
 rigidity) combination — plans, caches, and probes are pure speedups.
 The randomized sweeps generate mixed workloads (joins, repeated
 variables, constants, rigid and flexible nulls, partial seeds) and
-compare enumerations, found/has answers, and distinct projections; a
-seeded sample always runs in tier 1, the full sweep is marked ``slow``.
+compare enumerations and found/has answers; a seeded sample always
+runs in tier 1, the full sweep is marked ``slow``.
 The same generator also exercises cache warmth: each case is matched
 twice on one matcher, with a mutation in between, so stale cache
 entries would be caught as a planned/naive divergence.
@@ -114,50 +114,6 @@ def check_one_case(seed: int) -> None:
         assert (found is not None) == bool(expected)
         if found is not None:
             assert frozenset(found.items()) in expected
-
-        variables = sorted(
-            {t for a in atoms for t in a.terms if isinstance(t, Variable)},
-            key=repr,
-        )
-        if variables and (partial is None or all(
-            v in {t for a in atoms for t in a.terms} for v in partial
-        )):
-            on = tuple(
-                rng.sample(variables, rng.randint(1, len(variables)))
-            )
-            if partial:
-                on = tuple(dict.fromkeys(list(on) + list(partial)))
-            expected_keys = {
-                tuple(h[t] for t in on)
-                for h in naive.homomorphisms(
-                    atoms, instance, seed=partial, flexible_nulls=flexible
-                )
-            }
-            actual_matches = list(
-                planned.distinct_matches(
-                    atoms,
-                    instance,
-                    on=on,
-                    seed=partial,
-                    flexible_nulls=flexible,
-                )
-            )
-            actual_keys = {
-                tuple(h[t] for t in on) for h in actual_matches
-            }
-            assert len(actual_matches) == len(actual_keys)
-            assert actual_keys == expected_keys, (
-                f"case {seed}: distinct projections diverge on {on}"
-            )
-            for h in actual_matches:
-                assert frozenset(h.items()) in _as_set(
-                    naive.homomorphisms(
-                        atoms,
-                        instance,
-                        seed=partial,
-                        flexible_nulls=flexible,
-                    )
-                )
 
     compare()
     # Mutate and compare again on the same matcher: generation-counter

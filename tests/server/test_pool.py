@@ -228,17 +228,28 @@ class TestProcess:
         )
         assert capped.stats()["limits"]["deadline_ms"] == 25.0
 
-    def test_subsumption_opt_out_reaches_the_engine(self):
-        chain = lookup_chain_workload(3).schema
-        on = SessionPool(chain, limits=SessionLimits(subsumption=True))
-        off = SessionPool(chain, limits=SessionLimits(subsumption=False))
-        query = "L0(x, y)"
-        assert (
-            on.process(DecideRequest(query=query)).decision
-            == off.process(DecideRequest(query=query)).decision
-        )
-        assert on.session(None).subsumption is True
-        assert off.session(None).subsumption is False
+    def test_pool_decides_through_the_pruning_engine(self):
+        # One pruning engine per fingerprint; the raw rewriting over
+        # the same Σ^Lin rules is the oracle for the pool's answers.
+        from repro.answerability.axioms import prime_query
+        from repro.containment.rewriting import RewriteEngine
+        from repro.logic.parser import parse_cq
+
+        pool = SessionPool(lookup_chain_workload(3).schema)
+        compiled = pool.session(None).compiled
+        raw = RewriteEngine(compiled.linearization().rules, subsumption=False)
+        for query in ("L0(x, y)", "L0(x, y), L1(x, z)"):
+            parsed = parse_cq(query)
+            start = compiled.linearization().initial_instance(parsed)
+            holds = any(
+                compiled.matcher().has(d.atoms, start)
+                for d in raw.rewrite(prime_query(parsed)).disjuncts
+            )
+            response = pool.process(DecideRequest(query=query))
+            assert response.decision == ("yes" if holds else "no")
+        assert compiled.rewrite_engine().subsumption is True
+        assert compiled.stats["rewrite-engine"] == 1
+        assert "subsumption" not in pool.stats()["limits"]
 
 
 class TestStats:

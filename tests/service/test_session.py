@@ -6,6 +6,7 @@ import pytest
 
 from repro.answerability import decide_monotone_answerability
 from repro.logic.atoms import atom
+from repro.logic.parser import parse_cq
 from repro.logic.queries import boolean_cq
 from repro.service import (
     QuerySchemaError,
@@ -380,3 +381,30 @@ class TestQueryValidation:
         with pytest.raises(QuerySchemaError):
             session.decide("Nope(x)")
         assert "decision" not in store.stats()["tiers"]
+
+
+class TestDurableAddresses:
+    """Durable-store addresses are pinned byte for byte, so a cache
+    directory written by an earlier build keeps serving hits."""
+
+    def test_decision_keys_and_rewrite_namespace_are_stable(self):
+        session = Session(university_schema(ud_bound=100))
+        canon = canonical_query_key(parse_cq("Udirectory(i, a, p)"))
+        fingerprint = (
+            "9829492cf9f71e45223296e510783bf5bc70a212b324211b30c18bc6529a9ece"
+        )
+        assert canon == "Udirectory(?0,?1,?2)|"
+        assert session.compiled.fingerprint == fingerprint
+        assert session._durable_key("decide", canon) == (
+            "d97cb77595ec2e17576056050430709a5c23724c0740a5b599ed4b1a9cebdbf5"
+        )
+        assert session._durable_key("decide", canon, True) == (
+            "99a923d4e9fbf3e6aa46f64d63c2f50a733c9bb7f6003ef15b953559fa603319"
+        )
+        assert session._durable_key("plan", canon) == (
+            "f3923247d9be0f52208c7c1628131f2b57e14ddd2a31963b1cd95dd032791d2b"
+        )
+        assert session.compiled._rewrite_namespace() == (
+            f"rewrite:{fingerprint}:sub"
+        )
+        assert session.compiled.rewrite_engine().subsumption is True

@@ -144,7 +144,6 @@ class TestCLI:
         assert args.max_rounds == DEFAULT_CHASE_ROUNDS
         assert args.max_facts == DEFAULT_CHASE_FACTS
         assert args.max_disjuncts == DEFAULT_MAX_DISJUNCTS
-        assert args.no_subsumption is False
 
     def test_serve_parser_defaults_are_the_shared_constants(self):
         from repro.__main__ import _build_parser
@@ -164,7 +163,51 @@ class TestCLI:
         assert args.pool_size == DEFAULT_POOL_SIZE
         assert args.max_fingerprints == DEFAULT_MAX_FINGERPRINTS
         assert args.max_pending == DEFAULT_MAX_PENDING
-        assert args.no_subsumption is False
+
+
+SIZE_FLAGS = {
+    "serve": (
+        "--workers", "--pool-size", "--max-fingerprints", "--max-pending",
+    ),
+    "fleet": (
+        "--workers", "--worker-threads", "--channels-per-worker",
+        "--pool-size", "--max-fingerprints", "--max-pending",
+    ),
+}
+
+
+class TestCLISizeFlags:
+    """Counts and sizes below 1 are usage errors (exit 2) caught by the
+    parser, before a server starts or a worker is spawned."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in SIZE_FLAGS.items()
+         for flag in flags],
+    )
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_size_is_a_usage_error(
+        self, command, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, value])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SIZE_FLAGS))
+    def test_positive_sizes_parse(self, command):
+        from repro.__main__ import _build_parser
+
+        argv = [command]
+        for flag in SIZE_FLAGS[command]:
+            argv += [flag, "1"]
+        args = _build_parser().parse_args(argv)
+        assert args.workers == args.pool_size == args.max_pending == 1
+
+    def test_supervise_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["supervise"])
+        assert exit_info.value.code == 2
 
 
 class TestCLIJson:
