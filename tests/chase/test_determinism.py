@@ -8,8 +8,10 @@ same outcome, round count, recorded steps, EGD substitution and trigger
 statistics for a fresh `Matcher`, for one already warmed by an earlier
 run, and for one whose caches are too small to hold anything.  Sessions
 reuse one matcher across every decision, so this is what makes a served
-decision independent of the requests before it.  A seeded sample always
-runs in tier 1; the broad sweep is marked ``slow``.
+decision independent of the requests before it.  The naive reference
+engine, the oracle of the delta engine, must be just as deterministic.
+A seeded sample always runs in tier 1; the broad sweep is marked
+``slow``.
 """
 
 import random
@@ -69,7 +71,9 @@ def _random_workload(rng: random.Random):
     return instance, rules
 
 
-def _run(instance, rules, *, matcher, max_rounds=6, max_facts=120):
+def _run(
+    instance, rules, *, matcher, engine="delta", max_rounds=6, max_facts=120
+):
     return chase(
         instance,
         rules,
@@ -78,6 +82,7 @@ def _run(instance, rules, *, matcher, max_rounds=6, max_facts=120):
         record_steps=True,
         matcher=matcher,
         null_factory=NullFactory(prefix="p"),
+        engine=engine,
     )
 
 
@@ -107,28 +112,30 @@ def _assert_identical(first, second, context):
     assert first.stats.merges == second.stats.merges
 
 
-def _assert_matcher_state_irrelevant(instance, rules, *, context, **bounds):
-    fresh = _run(instance, rules, matcher=Matcher(), **bounds)
+def _assert_matcher_state_irrelevant(instance, rules, *, context, **options):
+    fresh = _run(instance, rules, matcher=Matcher(), **options)
     warmed = Matcher()
-    _run(instance, rules, matcher=warmed, **bounds)
+    _run(instance, rules, matcher=warmed, **options)
     _assert_identical(
         fresh,
-        _run(instance, rules, matcher=warmed, **bounds),
+        _run(instance, rules, matcher=warmed, **options),
         f"{context} warm matcher",
     )
     starved = Matcher(plan_cache_size=1, check_cache_limit=1)
     _assert_identical(
         fresh,
-        _run(instance, rules, matcher=starved, **bounds),
+        _run(instance, rules, matcher=starved, **options),
         f"{context} starved caches",
     )
     return fresh
 
 
-def check_one_case(seed: int) -> None:
+def check_one_case(seed: int, engine: str = "delta") -> None:
     rng = random.Random(seed)
     instance, rules = _random_workload(rng)
-    _assert_matcher_state_irrelevant(instance, rules, context=f"seed={seed}")
+    _assert_matcher_state_irrelevant(
+        instance, rules, context=f"seed={seed} engine={engine}", engine=engine
+    )
 
 
 class TestSeededDeterminism:
@@ -137,6 +144,10 @@ class TestSeededDeterminism:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_workloads_identical(self, seed):
         check_one_case(seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_naive_engine_identical(self, seed):
+        check_one_case(seed, engine="naive")
 
     def test_transitive_closure_identical(self):
         instance = Instance(

@@ -147,6 +147,11 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown chase engine"):
             chase(Instance(), [], engine="turbo")
 
+    def test_there_is_no_policy_keyword(self):
+        # The restricted chase is the only policy.
+        with pytest.raises(TypeError):
+            chase(Instance(), [], policy="restricted")
+
     @pytest.mark.parametrize("engine", ["delta", "naive"])
     def test_basic_scenarios_per_engine(self, engine):
         inst = Instance([ground_atom("R", 1), ground_atom("S", 1, 7)])
@@ -194,3 +199,44 @@ class TestDeterministicMerges:
         )
         result = chase(inst, [fd("R", [0], 1)], engine=engine)
         assert result.substitution == {Null("beta"): Null("alpha")}
+
+
+class TestRestrictedAfterMerges:
+    """The restricted chase checks each trigger's head against the
+    instance *after* EGD merges, so a merge that renames a frontier term
+    never makes a satisfied rule fire again.  Both engines agree."""
+
+    @pytest.mark.parametrize("engine", ["delta", "naive"])
+    def test_renamed_frontier_does_not_refire(self, engine):
+        # Round 1 fires both TGDs on S(n5); R(1, n5) then violates the
+        # FD against R(1, n0), and the merge keeps n0 (older), rewriting
+        # S(n5) to S(n0) and T(n5, w) to T(n0, w).  In round 2 the
+        # rewritten trigger S(n0) already has its T witness.
+        inst = Instance(
+            [
+                ground_atom("R", 1, Null("n0")),
+                ground_atom("S", Null("n5")),
+            ]
+        )
+        rules = [
+            tgd("S(x) -> T(x, w)"),
+            tgd("S(x) -> R(1, x)"),
+            fd("R", [0], 1),
+        ]
+        result = chase(inst, rules, max_rounds=6, engine=engine)
+        assert result.outcome is ChaseOutcome.FIXPOINT
+        assert result.substitution == {Null("n5"): Null("n0")}
+        t_facts = result.instance.facts_of("T")
+        assert len(t_facts) == 1
+        assert next(iter(t_facts)).terms[0] == Null("n0")
+        assert satisfies(result.instance, rules)
+
+    @pytest.mark.parametrize("engine", ["delta", "naive"])
+    def test_existential_rule_fires_once_per_frontier(self, engine):
+        inst = Instance([ground_atom("R", 1)])
+        result = chase(
+            inst, [tgd("R(x) -> S(x, z)")], max_rounds=10, engine=engine
+        )
+        assert result.outcome is ChaseOutcome.FIXPOINT
+        assert result.rounds == 2
+        assert len(result.instance.facts_of("S")) == 1

@@ -205,6 +205,13 @@ class TestLimitsAndExplain:
         strict = Session(schema, max_facts=2)
         assert strict.decide(query_example_6_1()).is_unknown
 
+    def test_there_is_no_subsumption_switch(self):
+        # The ID route always prunes; the limits report no such key.
+        with pytest.raises(TypeError):
+            Session(university_schema(ud_bound=100), subsumption=False)
+        report = Session(university_schema(ud_bound=100)).explain(query_q2())
+        assert "subsumption" not in report["limits"]
+
     def test_explain_reports_diagnostics(self):
         session = Session(university_schema(ud_bound=100), max_rounds=7)
         report = session.explain(query_q2())

@@ -204,10 +204,37 @@ class TestCLISizeFlags:
         args = _build_parser().parse_args(argv)
         assert args.workers == args.pool_size == args.max_pending == 1
 
+    @pytest.mark.parametrize("command", sorted(SIZE_FLAGS))
+    def test_non_integer_size_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--pool-size", "two"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --pool-size: invalid" in err and "'two'" in err
+
     def test_supervise_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["supervise"])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "schema.json"],
+            ["decide", "schema.json", "R(x)"],
+            ["fleet"],
+            ["plan", "schema.json", "R(x)"],
+            ["serve"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_subsumption_is_gone(self, argv, capsys):
+        # The ID route always prunes its rewriting; there is no opt-out.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--no-subsumption"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --no-subsumption" in err
 
 
 class TestCLIJson:
