@@ -14,9 +14,9 @@ requests almost never share a schema:
 * **pooled batch serial** (the ``batch`` CLI path): a serial loop over
   one `SessionPool`, fingerprint routing but no concurrency — recorded
   for context, not gated;
-* **server, N concurrent clients**: a live `DecideServer` (worker
-  threads + per-fingerprint pooling), the stream sharded over N TCP
-  connections.
+* **server, N concurrent clients**: a live `DecideServer` (its fixed
+  decision threads, one session per fingerprint), the stream sharded
+  over N TCP connections.
 
 The headline ``speedup`` is single-session-serial / server wall time.
 Decisions are CPU-bound Python, so the win is *architectural* — the
@@ -39,6 +39,7 @@ from _harness import ROOT, BenchRecord, write_bench_json
 
 from repro.io import schema_from_dict, schema_to_dict
 from repro.server import DecideServer, SessionPool
+from repro.server.server import DECISION_THREADS
 from repro.service import Session
 from repro.workloads import (
     fd_determinacy_workload,
@@ -117,7 +118,7 @@ def run_pooled_batch_serial(stream) -> dict[int, str]:
     """The batch CLI path: serial loop over a fingerprint-routed pool."""
     from repro.io import DecideRequest
 
-    pool = SessionPool(pool_size=1)
+    pool = SessionPool()
     decisions: dict[int, str] = {}
     for request in stream:
         response = pool.process(
@@ -134,10 +135,8 @@ def run_pooled_batch_serial(stream) -> dict[int, str]:
 async def _run_server_clients(
     stream, clients: int, metrics=None
 ) -> dict[int, str]:
-    pool = SessionPool(pool_size=2)
-    server = await DecideServer(
-        pool, port=0, workers=clients, metrics=metrics
-    ).start()
+    pool = SessionPool()
+    server = await DecideServer(pool, port=0, metrics=metrics).start()
     host, port = server.address
     decisions: dict[int, str] = {}
 
@@ -234,7 +233,8 @@ def run_metrics_overhead(stream, repeat: int) -> BenchRecord:
 # Degraded mode: one hostile client vs the well-behaved cohort
 # ----------------------------------------------------------------------
 WELL_BEHAVED = 4
-HOSTILE_CONNECTIONS = 4  # == workers: unquotaed, it clogs every thread
+#: Unquotaed, the hostile client holds every decision thread.
+HOSTILE_CONNECTIONS = DECISION_THREADS
 
 
 def _slow_query_stream(smoke: bool):
@@ -268,9 +268,9 @@ async def _run_degraded(smoke: bool, quotas: bool) -> list[float]:
     surplus is shed with `Overloaded` frames (which the hostile client
     honors, sleeping on ``retry_after_ms`` like a well-behaved retrier).
     """
-    pool = SessionPool(university_schema(ud_bound=100), pool_size=2)
+    pool = SessionPool(university_schema(ud_bound=100))
     kwargs = {"max_inflight_per_client": 1} if quotas else {}
-    server = await DecideServer(pool, port=0, workers=4, **kwargs).start()
+    server = await DecideServer(pool, port=0, **kwargs).start()
     host, port = server.address
     hostile_frame = _slow_query_stream(smoke)
     stop = asyncio.Event()
@@ -320,7 +320,7 @@ async def _run_degraded(smoke: bool, quotas: bool) -> list[float]:
             asyncio.ensure_future(hostile_connection())
             for __ in range(HOSTILE_CONNECTIONS)
         ]
-        # Let the hostile connections saturate the workers first.
+        # Let the hostile connections saturate the decision threads first.
         await asyncio.sleep(0.3 if smoke else 0.8)
         cohorts = await asyncio.gather(
             *(well_behaved(i, requests) for i in range(WELL_BEHAVED))
@@ -388,8 +388,6 @@ async def _run_fleet(
         WorkerSpec(
             port=0,
             serve_args=(
-                "--workers", "2",
-                "--pool-size", "1",
                 "--max-fingerprints", str(FLEET_MAX_FINGERPRINTS),
                 "--drain-timeout", "5",
             ),
@@ -520,8 +518,6 @@ async def _run_fleet_restart(
             port=0,
             health_interval_s=0.2,
             serve_args=(
-                "--workers", "2",
-                "--pool-size", "1",
                 "--max-fingerprints", str(len(schemas)),
                 "--drain-timeout", "5",
                 *extra,

@@ -35,15 +35,15 @@ The one-shot free functions remain::
     q2 = boolean_cq([atom("Udirectory", "i", "a", "p")])
     assert decide_monotone_answerability(schema, q2).is_yes
 
-To serve decisions over TCP (JSON-lines protocol, per-fingerprint
-session pooling; see `repro.server` and DESIGN.md §3a)::
+To serve decisions over TCP (JSON-lines protocol, one session per
+schema fingerprint; see `repro.server` and DESIGN.md §3a)::
 
     python -m repro serve schema.json --port 8765
 
 or in-process::
 
     from repro import SessionPool
-    pool = SessionPool(schema, pool_size=4)
+    pool = SessionPool(schema)
     pool.process(DecideRequest(query="Udirectory(i, a, p)"))
 
 Package map (details in DESIGN.md):

@@ -16,10 +16,10 @@ Commands
     output line.  Requests may carry an inline ``schema``; routing goes
     through a `repro.server.SessionPool`, so sessions are compiled once
     per distinct schema fingerprint and reused across lines.
-``serve [SCHEMA.json] [--host H] [--port P] [--workers N] ...``
+``serve [SCHEMA.json] [--host H] [--port P] ...``
     The asyncio JSON-lines TCP server: the ``batch`` protocol on a
-    socket, decisions on a worker-thread pool, per-fingerprint session
-    pooling with LRU eviction (``--pool-size``, ``--max-fingerprints``)
+    socket, decisions on a fixed set of executor threads, one session
+    per schema fingerprint with LRU eviction (``--max-fingerprints``)
     and bounded in-flight backpressure (``--max-pending``).  ``op``
     frames ``stats`` and ``ping`` expose introspection; the default
     schema is optional when every request carries its own.  Resilience
@@ -63,9 +63,7 @@ from .defaults import (
     DEFAULT_MAX_DISJUNCTS,
     DEFAULT_MAX_FINGERPRINTS,
     DEFAULT_MAX_PENDING,
-    DEFAULT_POOL_SIZE,
     DEFAULT_PORT,
-    DEFAULT_WORKERS,
 )
 from .io import (
     DecideRequest,
@@ -88,6 +86,22 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _at_least_one(text: str) -> float:
+    """argparse type for a real quantity that must be at least 1."""
+    value = float(text)
+    if not value >= 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a rate that must be greater than 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
     return value
 
 
@@ -210,20 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"TCP port, 0 for ephemeral (default: {DEFAULT_PORT})",
     )
     serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=DEFAULT_WORKERS,
-        help="decision worker threads "
-        f"(default: {DEFAULT_WORKERS})",
-    )
-    serve.add_argument(
-        "--pool-size",
-        type=_positive_int,
-        default=DEFAULT_POOL_SIZE,
-        help="sessions per schema fingerprint "
-        f"(default: {DEFAULT_POOL_SIZE})",
-    )
-    serve.add_argument(
         "--max-fingerprints",
         type=_positive_int,
         default=DEFAULT_MAX_FINGERPRINTS,
@@ -271,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         subparser.add_argument(
             "--client-rate",
-            type=float,
+            type=_positive_float,
             default=None,
             metavar="PER_SECOND",
             help="per-client token-bucket refill rate in requests per "
@@ -280,13 +280,13 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         subparser.add_argument(
             "--client-burst",
-            type=float,
+            type=_at_least_one,
             default=8.0,
             help="per-client token-bucket capacity (default: 8)",
         )
         subparser.add_argument(
             "--max-inflight-per-client",
-            type=int,
+            type=_positive_int,
             default=None,
             metavar="N",
             help="concurrent in-flight requests allowed per client "
@@ -337,21 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes behind the dispatcher (default: 2)",
     )
     fleet.add_argument(
-        "--worker-threads",
-        type=_positive_int,
-        default=DEFAULT_WORKERS,
-        help="decision threads inside each worker process "
-        f"(default: {DEFAULT_WORKERS})",
-    )
-    fleet.add_argument(
-        "--channels-per-worker",
-        type=_positive_int,
-        default=None,
-        help="dispatcher connections per worker (default: the "
-        "worker's thread count, so one worker's threads can all stay "
-        "busy)",
-    )
-    fleet.add_argument(
         "--host", default="127.0.0.1", help="dispatcher bind address"
     )
     fleet.add_argument(
@@ -361,9 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dispatcher TCP port, 0 for ephemeral (default: "
         f"{DEFAULT_PORT}); workers always bind ephemeral ports, "
         "discovered from their readiness lines",
-    )
-    fleet.add_argument(
-        "--pool-size", type=_positive_int, default=DEFAULT_POOL_SIZE
     )
     fleet.add_argument(
         "--max-fingerprints",
@@ -526,14 +508,13 @@ def _limits(args: argparse.Namespace) -> SessionLimits:
     )
 
 
-def _pool(args: argparse.Namespace, *, pool_size: int) -> SessionPool:
+def _pool(args: argparse.Namespace) -> SessionPool:
     from .server.pool import SessionPool
 
     schema = getattr(args, "schema", None)
     return SessionPool(
         load_schema(schema) if schema is not None else None,
         limits=_limits(args),
-        pool_size=pool_size,
         max_fingerprints=getattr(
             args, "max_fingerprints", DEFAULT_MAX_FINGERPRINTS
         ),
@@ -542,11 +523,9 @@ def _pool(args: argparse.Namespace, *, pool_size: int) -> SessionPool:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    # One session per fingerprint: a serial stream gains nothing from
-    # round-robin, and a single decision cache keeps repeat lines hits.
     from .server.pool import introspection_frame
 
-    pool = _pool(args, pool_size=1)
+    pool = _pool(args)
     if args.input == "-":
         lines = sys.stdin
     else:
@@ -620,7 +599,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # the readiness line, so no request pays for an import.
     from .server.server import DecideServer
 
-    pool = _pool(args, pool_size=args.pool_size)
+    pool = _pool(args)
     warmed, warm_error = _warm_pool(pool, getattr(args, "warm", None))
     if warm_error is not None:
         print(
@@ -636,7 +615,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             pool,
             host=args.host,
             port=args.port,
-            workers=args.workers,
             max_pending=args.max_pending,
             client_rate=args.client_rate,
             client_burst=args.client_burst,
@@ -665,8 +643,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass  # non-Unix loop: fall back to KeyboardInterrupt
         print(
             f"serving on {host}:{port} "
-            f"(workers={args.workers}, pool_size={args.pool_size}, "
-            f"max_pending={args.max_pending}; Ctrl-C to stop)",
+            f"(max_pending={args.max_pending}; Ctrl-C to stop)",
             file=sys.stderr,
             flush=True,
         )
@@ -717,8 +694,6 @@ def _worker_serve_args(args: argparse.Namespace) -> tuple:
     ``fleet`` namespace (everything except schema, bind address, and
     warm manifest — those live on the `WorkerSpec` proper)."""
     argv: list = []
-    argv += ["--workers", str(args.worker_threads)]
-    argv += ["--pool-size", str(args.pool_size)]
     argv += ["--max-fingerprints", str(args.max_fingerprints)]
     argv += ["--max-pending", str(args.max_pending)]
     argv += ["--max-rounds", str(args.max_rounds)]
@@ -774,15 +749,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from .server.fleet import Fleet, FleetDispatcher
 
-    channels = args.channels_per_worker or args.worker_threads
     specs = [_worker_spec(args) for __ in range(args.workers)]
 
     from .obs import MetricsRegistry, request_logger_from_format
 
     async def serve() -> None:
-        dispatcher = FleetDispatcher(
-            host=args.host, port=args.port, channels_per_worker=channels
-        )
+        dispatcher = FleetDispatcher(host=args.host, port=args.port)
         dispatcher.register_metrics(MetricsRegistry())
         dispatcher.set_request_log(
             request_logger_from_format(getattr(args, "log_format", None))
@@ -803,8 +775,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             host, port = dispatcher.address
             print(
                 f"fleet dispatcher on {host}:{port} "
-                f"({admitted}/{args.workers} workers in ring, "
-                f"{args.worker_threads} threads each; Ctrl-C to stop)",
+                f"({admitted}/{args.workers} workers in ring; "
+                "Ctrl-C to stop)",
                 file=sys.stderr,
                 flush=True,
             )

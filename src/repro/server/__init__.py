@@ -3,13 +3,13 @@
 The layer that turns the service seam into a server:
 
 * `SessionPool` — routes requests to `Session`s by schema content
-  fingerprint (two-level: serialized spelling, then fingerprint), a
-  bounded pool per fingerprint over one shared `CompiledSchema`, LRU
+  fingerprint (two-level: serialized spelling, then fingerprint), one
+  session per fingerprint over its `CompiledSchema`, LRU
   eviction of cold fingerprints, aggregated `stats()` with per-shard
   heat, and `warm()` for manifest-driven precompilation;
 * `DecideServer` / `run_server` — the asyncio JSON-lines TCP front end:
   cached decisions answered on the event loop (`SessionPool.probe`),
-  the rest on a bounded worker-thread executor, backpressure via a
+  the rest on a fixed set of decision threads, backpressure via a
   bounded in-flight gate (optionally shedding `Overloaded` frames),
   per-request deadlines with cooperative cancellation, per-client
   token-bucket quotas, graceful drain, and structured `ErrorFrame`s
@@ -48,11 +48,11 @@ import importlib
 #: it, the decision core.
 _EXPORTED_BY = {
     ".pool": (
-        "DEFAULT_MAX_FINGERPRINTS", "DEFAULT_POOL_SIZE",
+        "DEFAULT_MAX_FINGERPRINTS",
         "SessionLimits", "SessionPool", "introspection_frame",
     ),
     ".server": (
-        "DEFAULT_MAX_PENDING", "DEFAULT_PORT", "DEFAULT_WORKERS",
+        "DEFAULT_MAX_PENDING", "DEFAULT_PORT",
         "DecideServer", "run_server",
     ),
     ".supervisor": (
@@ -61,7 +61,7 @@ _EXPORTED_BY = {
         "serve_spawn", "tcp_ping",
     ),
     ".hashring": ("DEFAULT_REPLICAS", "HashRing"),
-    ".fleet": ("Fleet", "FleetDispatcher", "run_fleet"),
+    ".fleet": ("Fleet", "FleetDispatcher"),
     ".wsgi": ("make_wsgi_app",),
 }
 _SOURCE = {

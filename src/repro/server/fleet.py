@@ -73,7 +73,7 @@ import os
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Awaitable, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 from ..io import DecideRequest, ErrorFrame, json_safe
 from ..obs.logs import RequestLogger
@@ -91,7 +91,7 @@ from .lines import (
 )
 from .supervisor import CrashLoopError, Supervisor, WorkerSpec
 
-__all__ = ["Fleet", "FleetDispatcher", "run_fleet"]
+__all__ = ["Fleet", "FleetDispatcher"]
 
 #: Retry hint stamped on WorkerLost/empty-ring errors: long enough for
 #: the ring to rebalance, short enough that clients re-probe promptly.
@@ -918,36 +918,3 @@ class Fleet:
     @property
     def members(self) -> tuple[str, ...]:
         return tuple(member.worker_id for member in self._members)
-
-
-async def run_fleet(
-    specs: list[WorkerSpec],
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    channels_per_worker: int = 4,
-    drain_timeout: Optional[float] = None,
-    ready: Optional[Callable[[FleetDispatcher], Awaitable[None]]] = None,
-    min_workers: Optional[int] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    request_log: Optional[RequestLogger] = None,
-) -> None:
-    """Start a dispatcher + fleet and serve until cancelled; the CLI
-    and the smoke harness sit on this.  ``ready`` (when given) is
-    awaited once the quorum is admitted — the CLI emits its readiness
-    frame there."""
-    dispatcher = FleetDispatcher(
-        host=host, port=port, channels_per_worker=channels_per_worker
-    )
-    if metrics is not None:
-        dispatcher.register_metrics(metrics)
-    dispatcher.set_request_log(request_log)
-    await dispatcher.start()
-    fleet = Fleet(specs, dispatcher)
-    try:
-        await fleet.start(min_workers=min_workers)
-        if ready is not None:
-            await ready(dispatcher)
-        await dispatcher.serve_forever()
-    finally:
-        await fleet.close(drain_timeout=drain_timeout)

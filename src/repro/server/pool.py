@@ -4,18 +4,15 @@ A `SessionPool` routes every request to a `Session` keyed by the
 *content fingerprint* of its schema — the sharding design the service
 layer was built for: `CompiledSchema` artifacts (classification,
 simplifications, linearization, the rewrite engine, the matcher) are
-immutable and thread-safe, so any number of sessions and worker threads
-can share one per fingerprint.
+immutable and thread-safe, so one per fingerprint serves every thread.
 
 Routing is two-level, like the batch CLI it generalizes: the serialized
 inline description skips recompilation for byte-identical spellings,
 and the content fingerprint dedupes reordered spellings of the same
-schema.  Each fingerprint owns a bounded pool of `Session`s (all over
-the one shared `CompiledSchema`) handed out round-robin — sessions are
-individually thread-safe, so pooling exists to spread decision-cache
-lock contention, not to serialize access.  Cold fingerprints are
-evicted LRU once `max_fingerprints` distinct schemas have been seen
-(the default schema, when configured, is pinned).
+schema.  Each fingerprint owns exactly one thread-safe `Session` over
+its `CompiledSchema`, so one schema's decisions share one cache.  Cold
+fingerprints are evicted LRU once `max_fingerprints` distinct schemas
+have been seen (the default schema, when configured, is pinned).
 
 `process(request)` is the transport-independent request path shared by
 the asyncio server, the WSGI adapter, and the batch CLI: route, decide
@@ -23,8 +20,8 @@ or plan, stamp the request id.  `probe(request)` is its cache-only
 twin for the TCP server's event loop: it answers a request whose exact
 (schema spelling, query text) pair a live session has already answered,
 without parsing, compiling, or ever blocking on the pool lock, and
-returns None otherwise.  `stats()` aggregates `Session.stats()`
-across the pool per fingerprint, plus the pool's own routing counters.
+returns None otherwise.  `stats()` reports each fingerprint's session
+statistics plus the pool's own routing counters.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from ..defaults import (
     DEFAULT_CHASE_ROUNDS,
     DEFAULT_MAX_DISJUNCTS,
     DEFAULT_MAX_FINGERPRINTS,
-    DEFAULT_POOL_SIZE,
 )
 from ..io import (
     DecideRequest,
@@ -85,43 +81,22 @@ class SessionLimits:
 
 
 class _Entry:
-    """One fingerprint's slice of the pool: the shared compiled schema
-    plus up to ``pool_size`` sessions, created lazily, served
-    round-robin."""
+    """One fingerprint in the pool: the compiled schema and the one
+    session over it."""
 
-    __slots__ = ("compiled", "sessions", "cursor", "requests")
+    __slots__ = ("compiled", "session", "requests")
 
-    def __init__(self, compiled: CompiledSchema) -> None:
+    def __init__(self, compiled: CompiledSchema, session: Session) -> None:
         self.compiled = compiled
-        self.sessions: list[Session] = []
-        self.cursor = 0
+        self.session = session
         self.requests = 0
 
-    def next_session(
-        self, limits: SessionLimits, pool_size: int, store=None
-    ) -> Session:
-        """Round-robin across the slice, growing it until full."""
-        self.requests += 1
-        if len(self.sessions) < pool_size:
-            session = limits.make_session(self.compiled, store=store)
-            self.sessions.append(session)
-            return session
-        self.cursor = (self.cursor + 1) % len(self.sessions)
-        return self.sessions[self.cursor]
-
     def stats(self) -> dict:
-        """`Session.stats()` aggregated over the slice: per-schema
-        artifacts (compile/rewrite/matcher counters) are shared objects
-        reported once; decision-cache traffic is summed."""
-        cache = {"hits": 0, "misses": 0, "size": 0, "capacity": 0}
-        for session in self.sessions:
-            for key, value in session.cache_info().items():
-                cache[key] = cache.get(key, 0) + value
         return {
             "fingerprint": self.compiled.fingerprint,
             "requests": self.requests,
-            "sessions": len(self.sessions),
-            "cache": cache,
+            "sessions": 1,
+            "cache": self.session.cache_info(),
             "compile_stats": dict(self.compiled.stats),
             "rewrite_engine": self.compiled.engine_stats(),
             "matching": self.compiled.matcher_stats(),
@@ -137,13 +112,13 @@ class SessionPool:
 
     ::
 
-        pool = SessionPool(default_schema=schema, pool_size=4)
+        pool = SessionPool(default_schema=schema)
         response = pool.process(DecideRequest(query="R(x)"))
         pool.stats()["fingerprints"]
 
     Thread-safe: routing state is under one lock; the sessions handed
     out are themselves thread-safe, so `process` may be called from any
-    number of worker threads concurrently.
+    number of threads concurrently.
     """
 
     def __init__(
@@ -151,18 +126,14 @@ class SessionPool:
         default_schema: SchemaLike = None,
         *,
         limits: Optional[SessionLimits] = None,
-        pool_size: int = DEFAULT_POOL_SIZE,
         max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS,
         store=None,
     ) -> None:
-        if pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         if max_fingerprints < 1:
             raise ValueError(
                 f"max_fingerprints must be >= 1, got {max_fingerprints}"
             )
         self.limits = limits if limits is not None else SessionLimits()
-        self.pool_size = pool_size
         self.max_fingerprints = max_fingerprints
         #: Optional durable `repro.cache.ArtifactStore` shared by every
         #: session and compiled schema this pool creates; compiled
@@ -199,7 +170,7 @@ class SessionPool:
         self._warm_recorded: OrderedDict[str, None] = OrderedDict()
         self._default: Optional[_Entry] = None
         if default_schema is not None:
-            self._default = _Entry(self._compile(default_schema))
+            self._default = self._new_entry(self._compile(default_schema))
 
     # ------------------------------------------------------------------
     # Routing
@@ -235,6 +206,12 @@ class SessionPool:
         self._counters["schemas_compiled"] += 1
         self._register_store(compiled)
         return compiled
+
+    def _new_entry(self, compiled: CompiledSchema) -> _Entry:
+        self._counters["sessions_created"] += 1
+        return _Entry(
+            compiled, self.limits.make_session(compiled, store=self.store)
+        )
 
     def _remember_text_key(self, text_key: str, fingerprint: str) -> None:
         self._text_keys[text_key] = fingerprint
@@ -291,7 +268,7 @@ class SessionPool:
             return self._default
         entry = self._entries.get(compiled.fingerprint)
         if entry is None:
-            entry = _Entry(compiled)
+            entry = self._new_entry(compiled)
             self._entries[compiled.fingerprint] = entry
         else:
             self._counters["fingerprint_hits"] += 1
@@ -312,7 +289,7 @@ class SessionPool:
     def session(
         self, schema: SchemaLike = None, text_key: Optional[str] = None
     ) -> Session:
-        """Route to a pooled session.
+        """Route to the fingerprint's session.
 
         ``schema`` may be None (the pinned default), an inline JSON
         description (dict), a `Schema`, or a `CompiledSchema`;
@@ -322,13 +299,8 @@ class SessionPool:
         with self._lock:
             self._counters["requests"] += 1
             entry = self._entry_for(schema, text_key=text_key)
-            before = len(entry.sessions)
-            session = entry.next_session(
-                self.limits, self.pool_size, self.store
-            )
-            if len(entry.sessions) != before:
-                self._counters["sessions_created"] += 1
-            return session
+            entry.requests += 1
+            return entry.session
 
     def warm(self, schema: SchemaLike) -> str:
         """Precompile ``schema`` into the pool without serving a
@@ -346,13 +318,6 @@ class SessionPool:
             raise ValueError("cannot warm None (the default is always hot)")
         with self._lock:
             entry = self._entry_for(schema)
-            if not entry.sessions:
-                entry.sessions.append(
-                    self.limits.make_session(
-                        entry.compiled, store=self.store
-                    )
-                )
-                self._counters["sessions_created"] += 1
             self._counters["warmed"] += 1
             return entry.compiled.fingerprint
 
@@ -454,12 +419,12 @@ class SessionPool:
 
         The cache-only twin of `process`, safe on an event loop: it
         routes through the spelling map alone (never compiles), looks
-        the exact query text up in each session of the fingerprint's
-        slice (`Session.probe`: never parses), and gives up — returns
+        the exact query text up in the fingerprint's session
+        (`Session.probe`: never parses), and gives up — returns
         None — on any miss, including a pool lock some thread holds
         (compiles run under it).  A hit is accounted exactly like the
         same request answered by `process`: pool ``requests`` and
-        ``text_key_hits``, the slice's requests, session hits, and
+        ``text_key_hits``, the entry's requests, session hits, and
         shard heat.  Budgets are not consulted: like every cache hit,
         a probe hit is served even past its deadline.
         """
@@ -478,11 +443,8 @@ class SessionPool:
                 return None
             # `Session.plan` takes no ``finite``: plans key with False.
             finite = request.finite and request.op == "decide"
-            for session in entry.sessions:
-                response = session.probe(request.op, request.query, finite)
-                if response is not None:
-                    break
-            else:
+            response = entry.session.probe(request.op, request.query, finite)
+            if response is None:
                 return None
             self._counters["requests"] += 1
             if request.schema is not None:
@@ -513,7 +475,6 @@ class SessionPool:
                 entries.insert(0, self._default)
             payload = {
                 "fingerprints": len(entries),
-                "pool_size": self.pool_size,
                 "max_fingerprints": self.max_fingerprints,
                 "counters": dict(self._counters),
                 "limits": {
@@ -554,10 +515,7 @@ class SessionPool:
 
     def __repr__(self) -> str:
         with self._lock:
-            return (
-                f"SessionPool({len(self._entries)} fingerprints, "
-                f"pool_size={self.pool_size})"
-            )
+            return f"SessionPool({len(self._entries)} fingerprints)"
 
 
 def introspection_frame(

@@ -12,8 +12,14 @@ The event loop only probes the decision cache, non-blocking; it never
 parses a query, compiles or decides.  A decide/plan frame whose exact
 (schema spelling, query text) pair a session has already answered is
 served right there (`SessionPool.probe`, counted as ``loop_hits``);
-every other frame runs on a bounded worker-thread executor, so slow
-chases cannot stall frame parsing, stats probes, or other connections.
+every other frame is decided on one of `DECISION_THREADS` executor
+threads, so slow chases never block frame parsing, stats probes or
+cache hits (they still share the GIL).  The decision routes are
+pure-Python CPU work, so under the GIL those threads never decide in
+parallel; they time-slice, which lets a cheap miss finish beside a
+slow one.  A miss waits behind slow ones only once every thread holds
+one.  A host scales by processes (``python -m repro fleet``), not by
+threads.
 Connections are read by the shared `repro.server.lines.FrameLoop`: what
 the loop answers itself (a hit, a malformed frame, ping/stats/metrics,
 a quota shed) is written back from the connection's ``data_received``
@@ -75,7 +81,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
-from ..defaults import DEFAULT_MAX_PENDING, DEFAULT_PORT, DEFAULT_WORKERS
+from ..defaults import DEFAULT_MAX_PENDING, DEFAULT_PORT
 from ..io import DecideRequest, ErrorFrame
 from ..obs.logs import RequestLogger
 from ..obs.registry import MetricsRegistry
@@ -88,6 +94,11 @@ from .pool import SessionPool, introspection_frame
 DEFAULT_RETRY_AFTER_MS = 50.0
 #: Bound on tracked per-client states (idle states are pruned first).
 MAX_CLIENT_STATES = 1024
+#: Executor threads per server.  Not a throughput knob (the GIL
+#: serialises decisions): with one thread, a cheap miss queued behind
+#: one slow uncacheable miss waited for all of it, even with
+#: ``max_inflight_per_client=1`` capping the slow client.
+DECISION_THREADS = 4
 
 
 class _ClientState:
@@ -134,7 +145,7 @@ class _ClientState:
 class DecideServer:
     """Serve `SessionPool` decisions over newline-framed JSON on TCP.
 
-    The server owns a worker-thread executor (``workers`` threads) and
+    The server owns a `DECISION_THREADS`-thread decision executor and
     an in-flight gate (``max_pending``); the pool may be shared with
     other front ends (e.g. the WSGI adapter) — all its state is
     thread-safe.
@@ -152,7 +163,6 @@ class DecideServer:
         *,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        workers: int = DEFAULT_WORKERS,
         max_pending: int = DEFAULT_MAX_PENDING,
         client_rate: Optional[float] = None,
         client_burst: float = 8.0,
@@ -162,8 +172,6 @@ class DecideServer:
         metrics: Optional[MetricsRegistry] = None,
         request_log: Optional[RequestLogger] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if client_rate is not None and client_rate <= 0:
@@ -178,7 +186,6 @@ class DecideServer:
         self.pool = pool
         self.host = host
         self.port = port
-        self.workers = workers
         self.max_pending = max_pending
         self.client_rate = client_rate
         self.client_burst = float(client_burst)
@@ -225,7 +232,7 @@ class DecideServer:
         if self._lines.listening:
             return self
         self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
+            max_workers=DECISION_THREADS, thread_name_prefix="repro-serve"
         )
         self._gate = asyncio.Semaphore(self.max_pending)
         # Resolves the actual port (supports port=0 for tests).
@@ -316,7 +323,6 @@ class DecideServer:
         """The transport-level stats block (``op: stats`` ``server``
         section and the registry's ``server`` provider)."""
         return {
-            "workers": self.workers,
             "max_pending": self.max_pending,
             "draining": self.draining,
             "client_states": len(self._clients),
@@ -508,8 +514,8 @@ class DecideServer:
         started: float,
         timer: Optional[StageTimer],
     ) -> bytes:
-        """The executor path: wait at the gate, then decide on a
-        worker thread under the request's budget."""
+        """The executor path: wait at the gate, then decide on an
+        executor thread under the request's budget."""
         assert self._gate is not None and self._executor is not None
         acquired = False
         if self.shed_after_ms is not None:
@@ -597,7 +603,6 @@ async def run_server(
     *,
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
-    workers: int = DEFAULT_WORKERS,
     max_pending: int = DEFAULT_MAX_PENDING,
     client_rate: Optional[float] = None,
     client_burst: float = 8.0,
@@ -619,7 +624,6 @@ async def run_server(
         pool,
         host=host,
         port=port,
-        workers=workers,
         max_pending=max_pending,
         client_rate=client_rate,
         client_burst=client_burst,

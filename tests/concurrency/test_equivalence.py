@@ -160,10 +160,10 @@ class TestSharedPool:
     def test_concurrent_mixed_fingerprints_match_sequential(self):
         requests = self._requests()
         serial = [
-            normalized(SessionPool(pool_size=1).process(r).to_dict())
+            normalized(SessionPool().process(r).to_dict())
             for r in requests
         ]
-        pool = SessionPool(pool_size=2)
+        pool = SessionPool()
 
         def work(index):
             # Each thread walks the mixed-fingerprint list from its own
@@ -183,12 +183,12 @@ class TestSharedPool:
     def test_pool_under_eviction_pressure_stays_correct(self):
         requests = self._requests()
         serial = [
-            normalized(SessionPool(pool_size=1).process(r).to_dict())
+            normalized(SessionPool().process(r).to_dict())
             for r in requests
         ]
         # Fewer live fingerprints than distinct schemas: constant
         # eviction and recompilation under concurrency.
-        pool = SessionPool(pool_size=1, max_fingerprints=2)
+        pool = SessionPool(max_fingerprints=2)
 
         def work(index):
             ordered = requests[index:] + requests[:index]
@@ -198,7 +198,7 @@ class TestSharedPool:
             ]
 
         expected = {
-            normalized(SessionPool(pool_size=1).process(r).to_dict())
+            normalized(SessionPool().process(r).to_dict())
             for r in requests
         }
         assert set(serial) == expected
@@ -244,10 +244,10 @@ class TestRandomizedSweep:
             for w in workloads
         ]
         serial = {
-            id(r): normalized(SessionPool(pool_size=1).process(r).to_dict())
+            id(r): normalized(SessionPool().process(r).to_dict())
             for r in requests
         }
-        pool = SessionPool(pool_size=3, max_fingerprints=6)
+        pool = SessionPool(max_fingerprints=6)
 
         def work(index):
             local = random.Random(index)

@@ -49,8 +49,8 @@ async def main() -> int:
         "schema": schema_to_dict(slow_workload.schema),
         "query": repr(slow_workload.query),
     }
-    pool = SessionPool(university_schema(ud_bound=100), pool_size=2)
-    server = await DecideServer(pool, port=0, workers=4).start()
+    pool = SessionPool(university_schema(ud_bound=100))
+    server = await DecideServer(pool, port=0).start()
     host, port = server.address
     print(f"chaos target on {host}:{port}")
     try:

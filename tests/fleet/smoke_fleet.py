@@ -65,7 +65,6 @@ def launch_fleet(
             sys.executable, "-m", "repro", "fleet",
             str(ROOT / "examples" / "university.json"),
             "--workers", "2",
-            "--worker-threads", "2",
             "--port", "0",
             "--backoff-base", "0.1",
             "--backoff-cap", "0.5",

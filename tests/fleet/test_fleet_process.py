@@ -28,7 +28,7 @@ def spec_for(tmp_path, *, warm=None, schema=None) -> WorkerSpec:
         schema=schema,
         port=0,
         warm=warm,
-        serve_args=("--workers", "2", "--drain-timeout", "5"),
+        serve_args=("--drain-timeout", "5"),
         ready_timeout_s=60.0,
         health_interval_s=0.2,
         backoff=BackoffPolicy(base_s=0.05, cap_s=0.5),

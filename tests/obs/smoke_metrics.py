@@ -142,7 +142,7 @@ def http_leg(pool: SessionPool) -> None:
 
 def main() -> int:
     log_stream = io.StringIO()
-    pool = SessionPool(university_schema(ud_bound=100), pool_size=2)
+    pool = SessionPool(university_schema(ud_bound=100))
     asyncio.run(tcp_leg(pool, log_stream))
     records = [
         json.loads(line) for line in log_stream.getvalue().splitlines()

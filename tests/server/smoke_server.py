@@ -70,10 +70,8 @@ async def drive_connection(host: str, port: int, index: int) -> int:
 
 
 async def main() -> int:
-    pool = SessionPool(
-        university_schema(ud_bound=100), pool_size=2
-    )
-    server = await DecideServer(pool, port=0, workers=4).start()
+    pool = SessionPool(university_schema(ud_bound=100))
+    server = await DecideServer(pool, port=0).start()
     host, port = server.address
     print(f"smoke server on {host}:{port}")
     try:

@@ -97,11 +97,11 @@ class TestSameReplies:
             finally:
                 await server.close()
 
-        # One session per fingerprint: the executor path's round-robin
-        # then lands every repeat on the session that cached the first.
-        loop, loop_hits = run(scenario(SessionPool(pool_size=1)))
+        # The executor path lands every repeat on the fingerprint's one
+        # session, which cached the first.
+        loop, loop_hits = run(scenario(SessionPool()))
         executor, executor_hits = run(
-            scenario(without_probe(SessionPool(pool_size=1)))
+            scenario(without_probe(SessionPool()))
         )
         assert (loop_hits, executor_hits) == (2, 0)
         assert loop[1]["cached"] is True and loop[3]["cached"] is True
@@ -135,7 +135,7 @@ class TestAccounting:
                 await server.close()
 
         def pool_of():
-            return SessionPool(university_schema(ud_bound=100), pool_size=1)
+            return SessionPool(university_schema(ud_bound=100))
 
         loop_stats, loop_server = run(scenario(pool_of()))
         exec_stats, exec_server = run(scenario(without_probe(pool_of())))
@@ -238,7 +238,7 @@ class TestNeverBlocks:
     def test_ping_answered_while_a_compile_holds_the_pool_lock(
         self, monkeypatch
     ):
-        pool = SessionPool(university_schema(ud_bound=100), pool_size=1)
+        pool = SessionPool(university_schema(ud_bound=100))
         building = threading.Event()
         release = threading.Event()
         original = SessionPool._build

@@ -49,7 +49,7 @@ class TestRouting:
         assert pool.stats()["counters"]["text_key_hits"] == 1
 
     def test_reordered_spelling_shares_the_compiled_schema(self):
-        pool = SessionPool(pool_size=1)
+        pool = SessionPool()
         first = pool.session(UNIVERSITY)
         second = pool.session(reordered(UNIVERSITY))
         # Different spelling, same content fingerprint: recompiled once
@@ -59,7 +59,7 @@ class TestRouting:
         assert len(pool.fingerprints()) == 1
 
     def test_inline_spelling_of_the_default_routes_to_it(self):
-        pool = SessionPool(schema_from_dict(UNIVERSITY), pool_size=1)
+        pool = SessionPool(schema_from_dict(UNIVERSITY))
         session = pool.session(UNIVERSITY)
         assert session is pool.session(None)
         # The default is pinned, not an LRU entry.
@@ -67,7 +67,7 @@ class TestRouting:
         assert stats["fingerprints"] == 1
 
     def test_inline_default_spelling_is_cached_after_first_sight(self):
-        pool = SessionPool(schema_from_dict(UNIVERSITY), pool_size=1)
+        pool = SessionPool(schema_from_dict(UNIVERSITY))
         pool.session(UNIVERSITY)  # learns the spelling
         compiled_before = pool.stats()["counters"]["schemas_compiled"]
         for __ in range(3):
@@ -78,7 +78,7 @@ class TestRouting:
         assert stats["text_key_hits"] >= 3
 
     def test_text_key_map_is_bounded(self):
-        pool = SessionPool(pool_size=1, max_fingerprints=2)
+        pool = SessionPool(max_fingerprints=2)
         # Many distinct spellings of one hot fingerprint: constraints
         # reordered (json.dumps sorts dict keys, not list items).
         base = {
@@ -99,25 +99,32 @@ class TestRouting:
         assert pool.session(compiled).compiled is compiled
 
 
-class TestPooling:
-    def test_round_robin_grows_to_pool_size_then_cycles(self):
-        pool = SessionPool(pool_size=3)
-        sessions = [pool.session(UNIVERSITY) for __ in range(7)]
-        distinct = {id(s) for s in sessions}
-        assert len(distinct) == 3
-        # All share the one compiled schema (and thus matcher/engine).
-        assert len({id(s.compiled) for s in sessions}) == 1
-        assert pool.stats()["counters"]["sessions_created"] == 3
+class TestOneSessionPerFingerprint:
+    def test_every_request_on_a_fingerprint_gets_its_one_session(self):
+        pool = SessionPool()
+        sessions = {id(pool.session(UNIVERSITY)) for __ in range(7)}
+        sessions.add(id(pool.session(reordered(UNIVERSITY))))
+        assert len(sessions) == 1
+        counters = pool.stats()["counters"]
+        assert counters["sessions_created"] == 1
+        assert counters["requests"] == 8
 
-    def test_pool_size_one_is_a_single_session(self):
-        pool = SessionPool(pool_size=1)
-        assert pool.session(UNIVERSITY) is pool.session(UNIVERSITY)
+    def test_default_schema_session_is_built_with_the_pool(self):
+        pool = SessionPool(university_schema(ud_bound=100))
+        assert pool.stats()["counters"]["sessions_created"] == 1
+        assert pool.session(None) is pool.session(None)
+        assert pool.stats()["counters"]["sessions_created"] == 1
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
-            SessionPool(pool_size=0)
-        with pytest.raises(ValueError):
             SessionPool(max_fingerprints=0)
+
+    def test_removed_pool_size_is_gone(self):
+        with pytest.raises(TypeError):
+            SessionPool(pool_size=2)
+        pool = SessionPool(university_schema(ud_bound=100))
+        assert "pool_size" not in pool.stats()
+        assert "pool_size" not in repr(pool)
 
 
 class TestEviction:
@@ -133,7 +140,7 @@ class TestEviction:
         ]
 
     def test_lru_evicts_the_coldest_fingerprint(self):
-        pool = SessionPool(max_fingerprints=2, pool_size=1)
+        pool = SessionPool(max_fingerprints=2)
         a, b, c = self._schemas(3)
         pool.session(a)
         pool.session(b)
@@ -154,7 +161,6 @@ class TestEviction:
         pool = SessionPool(
             university_schema(ud_bound=100),
             max_fingerprints=1,
-            pool_size=1,
         )
         for description in self._schemas(3):
             pool.session(description)
@@ -176,7 +182,7 @@ class TestProcess:
         assert "<= ud <=" in planned.plan
 
     def test_cached_response_does_not_leak_ids(self):
-        pool = SessionPool(university_schema(ud_bound=100), pool_size=1)
+        pool = SessionPool(university_schema(ud_bound=100))
         pool.process(DecideRequest(query="Udirectory(i,a,p)", id="one"))
         again = pool.process(DecideRequest(query="Udirectory(x,y,z)"))
         assert again.cached is True
@@ -254,22 +260,17 @@ class TestProcess:
 
 class TestStats:
     def test_aggregation_shape_and_counts(self):
-        pool = SessionPool(
-            university_schema(ud_bound=100), pool_size=2
-        )
+        pool = SessionPool(university_schema(ud_bound=100))
         for __ in range(4):
             pool.process(DecideRequest(query="Udirectory(i,a,p)"))
         stats = pool.stats()
-        assert stats["pool_size"] == 2
         assert stats["counters"]["requests"] == 4
         [entry] = stats["sessions"]
         assert entry["requests"] == 4
-        assert entry["sessions"] == 2
         cache = entry["cache"]
-        # 4 requests over 2 round-robin sessions: each decides once,
-        # then hits its own cache.
-        assert cache["misses"] == 2
-        assert cache["hits"] == 2
+        # The one session decides once, then hits its own cache.
+        assert cache["misses"] == 1
+        assert cache["hits"] == 3
         assert entry["rewrite_engine"]["rewrites"] >= 1
         assert entry["matching"]["checks"] >= 1
 
@@ -331,9 +332,7 @@ class TestShardHeat:
     heat."""
 
     def test_requests_and_cache_hits_per_fingerprint(self):
-        pool = SessionPool(
-            university_schema(ud_bound=100), pool_size=1
-        )
+        pool = SessionPool(university_schema(ud_bound=100))
         for __ in range(3):
             pool.process(DecideRequest(query="Udirectory(i,a,p)"))
         heat = pool.stats()["per_fingerprint"]

@@ -102,11 +102,9 @@ class TestProtocol:
 
     def test_inline_schema_routes_by_fingerprint(self):
         async def scenario():
-            # pool_size=1: the repeat Dir query must hit the same
-            # session's decision cache to come back cached=True.
-            pool = SessionPool(
-                university_schema(ud_bound=100), pool_size=1
-            )
+            # The repeat Dir query hits its fingerprint's one session
+            # and comes back cached=True.
+            pool = SessionPool(university_schema(ud_bound=100))
             server = await started_server(pool=pool)
             try:
                 replies = await exchange(
@@ -232,10 +230,8 @@ class TestErrors:
 class TestConcurrency:
     def test_concurrent_connections_mixed_fingerprints(self):
         async def scenario():
-            pool = SessionPool(
-                university_schema(ud_bound=100), pool_size=2
-            )
-            server = await started_server(pool=pool, workers=4)
+            pool = SessionPool(university_schema(ud_bound=100))
+            server = await started_server(pool=pool)
             try:
                 frames = [
                     {"query": "Udirectory(i,a,p)", "id": "u"},
@@ -257,7 +253,7 @@ class TestConcurrency:
 
     def test_tiny_backpressure_gate_still_serves_everything(self):
         async def scenario():
-            server = await started_server(workers=2, max_pending=1)
+            server = await started_server(max_pending=1)
             try:
                 frames = [
                     {"query": "Udirectory(i,a,p)", "id": i}
@@ -303,9 +299,34 @@ class TestLifecycle:
 
     def test_bad_configuration_rejected(self):
         pool = SessionPool(university_schema(ud_bound=100))
-        for kwargs in ({"workers": 0}, {"max_pending": 0}):
+        for kwargs in (
+            {"max_pending": 0},
+            {"client_rate": 0},
+            {"client_burst": 0},
+            {"max_inflight_per_client": 0},
+        ):
             try:
                 DecideServer(pool, **kwargs)
             except ValueError:
                 continue
             raise AssertionError(f"accepted {kwargs}")
+
+    def test_removed_workers_knob_is_gone(self):
+        import inspect
+
+        import repro.defaults
+        import repro.server
+        from repro.server import run_server
+
+        pool = SessionPool(university_schema(ud_bound=100))
+        try:
+            DecideServer(pool, workers=2)
+        except TypeError:
+            pass
+        else:
+            raise AssertionError("DecideServer accepted workers=")
+        assert "workers" not in inspect.signature(run_server).parameters
+        assert "workers" not in DecideServer(pool).server_stats()
+        for name in ("DEFAULT_WORKERS", "DEFAULT_POOL_SIZE"):
+            assert not hasattr(repro.defaults, name)
+            assert name not in repro.server.__all__

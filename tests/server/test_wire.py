@@ -93,7 +93,7 @@ class TestRequestRoundTrip:
 class TestResponseRoundTrip:
     def _decide_responses(self, seeds):
         """Real responses, decided over random schemas through a pool."""
-        pool = SessionPool(pool_size=1)
+        pool = SessionPool()
         for seed in seeds:
             workload = random_id_workload(seed)
             request = DecideRequest(

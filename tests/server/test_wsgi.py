@@ -169,7 +169,7 @@ class TestErrors:
     def test_agrees_with_tcp_protocol_payloads(self):
         # The WSGI and TCP front ends share SessionPool.process, so
         # their response payloads are identical modulo timing fields.
-        pool = SessionPool(university_schema(ud_bound=100), pool_size=1)
+        pool = SessionPool(university_schema(ud_bound=100))
         application = make_wsgi_app(pool)
         __, via_wsgi = call(
             application, "POST", "/", {"query": "Udirectory(i,a,p)"}

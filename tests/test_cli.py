@@ -150,35 +150,48 @@ class TestCLI:
         from repro.server import (
             DEFAULT_MAX_FINGERPRINTS,
             DEFAULT_MAX_PENDING,
-            DEFAULT_POOL_SIZE,
             DEFAULT_PORT,
-            DEFAULT_WORKERS,
         )
 
         args = _build_parser().parse_args(["serve"])
         assert args.schema is None
         assert args.host == "127.0.0.1"
         assert args.port == DEFAULT_PORT
-        assert args.workers == DEFAULT_WORKERS
-        assert args.pool_size == DEFAULT_POOL_SIZE
         assert args.max_fingerprints == DEFAULT_MAX_FINGERPRINTS
         assert args.max_pending == DEFAULT_MAX_PENDING
 
 
 SIZE_FLAGS = {
     "serve": (
-        "--workers", "--pool-size", "--max-fingerprints", "--max-pending",
+        "--max-fingerprints", "--max-pending", "--max-inflight-per-client",
     ),
     "fleet": (
-        "--workers", "--worker-threads", "--channels-per-worker",
-        "--pool-size", "--max-fingerprints", "--max-pending",
+        "--workers", "--max-fingerprints", "--max-pending",
+        "--max-inflight-per-client",
     ),
 }
+#: Quota flags that take a real number: (flag, bad value, message).
+QUOTA_FLAGS = (
+    ("--client-rate", "0", "must be greater than 0"),
+    ("--client-rate", "-2.5", "must be greater than 0"),
+    ("--client-burst", "0", "must be at least 1"),
+    ("--client-burst", "0.5", "must be at least 1"),
+)
+#: Knobs that no longer exist: a fixed decision-thread count per worker,
+#: one session per fingerprint, and the dispatcher's own channel default.
+REMOVED_FLAGS = (
+    ("serve", "--workers"),
+    ("serve", "--pool-size"),
+    ("fleet", "--worker-threads"),
+    ("fleet", "--pool-size"),
+    ("fleet", "--channels-per-worker"),
+)
 
 
 class TestCLISizeFlags:
-    """Counts and sizes below 1 are usage errors (exit 2) caught by the
-    parser, before a server starts or a worker is spawned."""
+    """Counts, sizes and quotas out of range are usage errors (exit 2)
+    caught by the parser, before a server starts or a worker is
+    spawned."""
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -201,16 +214,53 @@ class TestCLISizeFlags:
         argv = [command]
         for flag in SIZE_FLAGS[command]:
             argv += [flag, "1"]
-        args = _build_parser().parse_args(argv)
-        assert args.workers == args.pool_size == args.max_pending == 1
+        args = vars(_build_parser().parse_args(argv))
+        for flag in SIZE_FLAGS[command]:
+            assert args[flag[2:].replace("-", "_")] == 1
 
     @pytest.mark.parametrize("command", sorted(SIZE_FLAGS))
     def test_non_integer_size_is_a_usage_error(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "--pool-size", "two"])
+            main([command, "--max-pending", "two"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --pool-size: invalid" in err and "'two'" in err
+        assert "argument --max-pending: invalid" in err and "'two'" in err
+
+    @pytest.mark.parametrize("command", sorted(SIZE_FLAGS))
+    @pytest.mark.parametrize(
+        "flag, value, message", QUOTA_FLAGS,
+        ids=[f"{flag}={value}" for flag, value, __ in QUOTA_FLAGS],
+    )
+    def test_out_of_range_quota_is_a_usage_error(
+        self, command, flag, value, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, value])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SIZE_FLAGS))
+    def test_quotas_in_range_parse(self, command):
+        from repro.__main__ import _build_parser
+
+        args = _build_parser().parse_args([
+            command, "--client-rate", "0.5", "--client-burst", "1",
+            "--max-inflight-per-client", "1",
+        ])
+        assert args.client_rate == 0.5
+        assert args.client_burst == 1.0
+        assert args.max_inflight_per_client == 1
+
+    @pytest.mark.parametrize(
+        "command, flag", REMOVED_FLAGS,
+        ids=[" ".join(pair) for pair in REMOVED_FLAGS],
+    )
+    def test_removed_flags_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_supervise_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
