@@ -127,10 +127,10 @@ def _warm_restart_family(name: str, cases) -> BenchRecord:
     the *restart*: fresh `Session`s over freshly compiled schemas,
     nothing carried over in memory.  The cold side recomputes every
     decision; the warm side reopens the cache directory the previous
-    "process" populated and serves the same queries from the
-    decision/rewrite tiers.  The timed region is the full restart
-    cost: store open (warm side only), schema compiles, and the first
-    pass over every query.
+    "process" populated and serves the same queries from the decision
+    tier, the only durable answer cache.  The timed region is the full
+    restart cost: store open (warm side only), schema compiles, and the
+    first pass over every query.
     """
     import shutil
     import tempfile

@@ -65,7 +65,7 @@ Package map (details in DESIGN.md):
   serving layer the CLI and batch mode sit on);
 * `repro.cache` — the durable persistence tier: fingerprint-addressed
   SQLite/memory key-value stores, versioned artifact envelopes
-  (decisions, rewrite expansions, precompiled-schema bundles), warm
+  (decisions, plans, precompiled-schema bundles), warm
   restarts (DESIGN.md §2b);
 * `repro.runtime` — request budgets: deadlines, cooperative
   cancellation, the retryable `DeadlineExceeded`/`Overloaded` errors;

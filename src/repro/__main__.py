@@ -118,21 +118,21 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_limits(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
             "--max-rounds",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_CHASE_ROUNDS,
             help="chase round cap for the semidecidable routes "
             f"(default: {DEFAULT_CHASE_ROUNDS})",
         )
         subparser.add_argument(
             "--max-facts",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_CHASE_FACTS,
             help="chase fact cap protecting against breadth explosion "
             f"(default: {DEFAULT_CHASE_FACTS})",
         )
         subparser.add_argument(
             "--max-disjuncts",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_MAX_DISJUNCTS,
             help="budget for the ID route's backward UCQ rewriting; "
             "exceeding it yields UNKNOWN with a structured error "
@@ -145,10 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="DIR",
             help="directory for the durable artifact cache (a shared "
-            "SQLite store): decisions, rewrite expansions, and warmed "
-            "schemas persist across restarts and are shared between "
-            "concurrent workers; corruption or version drift degrades "
-            "to recompute, never to an error (default: no persistence)",
+            "SQLite store): decisions, plans, and warmed schemas "
+            "persist across restarts and are shared between concurrent "
+            "workers; corruption or version drift degrades to "
+            "recompute, never to an error (default: no persistence)",
         )
 
     decide = commands.add_parser(

@@ -6,8 +6,7 @@ Layers, bottom up:
   with `MemoryKVStore` and a WAL-mode `SQLiteKVStore` safe under
   concurrent worker processes on one host.
 * `repro.cache.codec` — stamped envelopes (format + library version +
-  payload digest; any mismatch is a miss, never an error) and the wire
-  form for rewrite states.
+  payload digest; any mismatch is a miss, never an error).
 * `repro.cache.tier` — `ArtifactStore`, the counted facade
   (hit/miss/write/invalid per artifact tier) the serving layers bind.
 * `repro.cache.bundle` — precompiled-schema bundles, the shared

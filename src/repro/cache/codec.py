@@ -14,30 +14,16 @@ new release invalidates every persisted artifact wholesale, which is
 the only invalidation rule that needs no knowledge of what changed
 between releases.  The payload digest catches torn writes that still
 parse as JSON.
-
-The second half of the module is the wire form for `RewriteEngine`
-states (tuples of atoms over canonical ``_q*`` variables and JSON-scalar
-constants).  Constants outside str/int/float/bool/None do not survive a
-JSON round-trip hashably (tuples come back as lists), so `encode_state`
-raises `UnencodableValue` for them and the caller simply skips
-persisting that entry — correctness is never gated on persistability.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional, Sequence
-
-from ..logic.atoms import Atom
-from ..logic.terms import Constant, Variable
+from typing import Any, Optional
 
 #: Bump on any change to the envelope layout or a payload wire form.
 FORMAT_VERSION = 1
-
-
-class UnencodableValue(TypeError):
-    """A term value that has no faithful JSON wire form."""
 
 
 def _library_version() -> str:
@@ -90,85 +76,3 @@ def decode_envelope(blob: Optional[bytes], kind: str) -> Optional[Any]:
         return json.loads(payload_json)
     except json.JSONDecodeError:
         return None
-
-
-# ----------------------------------------------------------------------
-# Rewrite-state wire form
-# ----------------------------------------------------------------------
-
-#: Constant values with a faithful JSON round trip.  ``bool`` is listed
-#: before the int check below because ``isinstance(True, int)`` holds.
-_SCALARS = (bool, int, float, str, type(None))
-
-
-def _encode_term(term: Any) -> list:
-    if isinstance(term, Variable):
-        return ["v", term.name]
-    if isinstance(term, Constant):
-        value = term.value
-        if isinstance(value, _SCALARS):
-            return ["c", value]
-        raise UnencodableValue(
-            f"constant value {value!r} has no JSON wire form"
-        )
-    # Nulls never occur in rewrite states (queries are over variables
-    # and constants); anything else is unencodable by definition.
-    raise UnencodableValue(f"term {term!r} has no wire form")
-
-
-def _decode_term(wire: Any) -> Any:
-    if (
-        isinstance(wire, list)
-        and len(wire) == 2
-        and isinstance(wire[0], str)
-    ):
-        tag, value = wire
-        if tag == "v" and isinstance(value, str):
-            return Variable(value)
-        if tag == "c" and isinstance(value, _SCALARS):
-            return Constant(value)
-    raise ValueError(f"malformed term wire form: {wire!r}")
-
-
-def encode_state(state: Sequence[Atom]) -> list:
-    """Wire form of one state: ``[[relation, [term, ...]], ...]``.
-
-    Raises `UnencodableValue` when a constant has no faithful JSON
-    representation; callers skip persisting such entries.
-    """
-    return [
-        [atom.relation, [_encode_term(term) for term in atom.terms]]
-        for atom in state
-    ]
-
-
-def decode_state(wire: Any) -> tuple[Atom, ...]:
-    """Inverse of `encode_state`; raises ``ValueError`` on bad shapes
-    (callers convert that into a cache miss)."""
-    if not isinstance(wire, list):
-        raise ValueError("state wire form must be a list")
-    atoms = []
-    for entry in wire:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not isinstance(entry[0], str)
-            or not isinstance(entry[1], list)
-        ):
-            raise ValueError(f"malformed atom wire form: {entry!r}")
-        relation, terms = entry
-        atoms.append(
-            Atom(relation, tuple(_decode_term(term) for term in terms))
-        )
-    return tuple(atoms)
-
-
-def state_key(state: Sequence[Atom]) -> str:
-    """Stable text key for a canonical state (used as the kv key).
-
-    `repr` of a canonical state is deterministic — variables are interned
-    ``_q*`` names assigned in traversal order, constants print by value —
-    so hashing it gives a cross-process-stable address.
-    """
-    text = ";".join(repr(atom) for atom in state)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -2,7 +2,8 @@
 
 One `ArtifactStore` wraps one `KVStore` and exposes typed load/store
 of enveloped payloads, tracking per-*tier* counters (a tier is an
-artifact kind: ``"decision"``, ``"rewrite"``, ``"bundle"``):
+artifact kind: ``"decision"`` for decisions and plans, ``"bundle"`` for
+precompiled schemas and the warm set):
 
 * ``hits`` — blob present and its envelope decoded cleanly;
 * ``misses`` — no blob under the key;
@@ -12,9 +13,9 @@ artifact kind: ``"decision"``, ``"rewrite"``, ``"bundle"``):
 * ``writes`` — envelopes persisted.
 
 The facade inherits the kv layer's failure contract: no data-path
-operation raises.  Additionally `store()` swallows `UnencodableValue`
-from payload encoding — an artifact that cannot be persisted is simply
-not persisted.
+operation raises.  Additionally `store()` skips a payload that
+``json.dumps`` cannot encode — an artifact that cannot be persisted is
+simply not persisted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from .codec import decode_envelope, encode_envelope
-from .kv import KVStore, SQLiteKVStore
+from .kv import CacheError, KVStore, SQLiteKVStore
 
 #: File name of the single-node store inside a ``--cache-dir``.
 STORE_FILENAME = "repro-cache.sqlite"
@@ -73,8 +74,8 @@ class ArtifactStore:
         try:
             blob = encode_envelope(tier, payload)
         except (TypeError, ValueError):
-            # UnencodableValue, a payload json.dumps cannot serialize,
-            # or a circular reference: skip persisting, never raise.
+            # A payload json.dumps cannot serialize, or a circular
+            # reference: skip persisting, never raise.
             return False
         self.kv.put(namespace, key, blob, ttl_s=ttl_s)
         self._bump(tier, "writes")

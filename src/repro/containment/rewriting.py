@@ -29,8 +29,7 @@ over one fixed rule set:
 * the state and whole-result memos are LRU tables capped at
   `MAX_CACHED_STATES` / `MAX_CACHED_RESULTS`, so distinct-query
   traffic cannot grow an engine without bound (an evicted entry is
-  recomputed — or, for a result with a durable store bound, reloaded
-  — never served wrong);
+  recomputed, never served wrong);
 * emitted UCQs are deduplicated by canonical isomorphism class and
   sorted deterministically, so the output (and any cache key derived
   from it) is stable across runs and across engine instances.
@@ -67,9 +66,16 @@ State = tuple[Atom, ...]
 MAX_CACHED_STATES = 4096
 
 #: Whole rewriting results a `RewriteEngine` keeps (least recently used
-#: evicted first; with a durable store bound, an evicted result
-#: reloads from it).
+#: evicted first; an evicted result is recomputed).
 MAX_CACHED_RESULTS = 512
+
+
+def _check_limit(max_disjuncts: int) -> int:
+    """A disjunct budget below 1 is a caller error, not an overflow:
+    the start state alone is one disjunct."""
+    if max_disjuncts < 1:
+        raise ValueError(f"max_disjuncts must be >= 1, got {max_disjuncts}")
+    return max_disjuncts
 
 
 class RewritingError(ValueError):
@@ -306,7 +312,7 @@ class RewriteEngine:
         self.rules: tuple[TGD, ...] = tuple(
             self._reserved(rule, index) for index, rule in enumerate(rules)
         )
-        self.max_disjuncts = max_disjuncts
+        self.max_disjuncts = _check_limit(max_disjuncts)
         #: (head relation, arity) -> indices of rules that resolve there.
         self._rules_by_head: dict[tuple[str, int], tuple[int, ...]] = {}
         for index, rule in enumerate(self.rules):
@@ -326,11 +332,6 @@ class RewriteEngine:
         self._results: OrderedDict[
             State, tuple[int, tuple[State, ...]]
         ] = OrderedDict()
-        #: optional durable tier behind the whole-result memo
-        #: (`bind_store`): misses fall through to it before the BFS,
-        #: complete results are written through after the memo.
-        self._store = None
-        self._store_namespace = ""
         self._lock = threading.RLock()
         self._counters = {
             "rewrites": 0,
@@ -346,8 +347,6 @@ class RewriteEngine:
             "disjuncts_deduped": 0,
             "subsumption_checks": 0,
             "disjuncts_subsumed": 0,
-            "persisted_loads": 0,
-            "persisted_writes": 0,
         }
 
     @property
@@ -356,60 +355,6 @@ class RewriteEngine:
         are dropped.  Fixed at construction (memoized results do not
         record which setting produced them)."""
         return self._subsumption
-
-    def bind_store(self, store, namespace: str) -> None:
-        """Attach a durable artifact store behind the result memo.
-
-        ``namespace`` must separate engines that would disagree — the
-        binder (`CompiledSchema`) derives it from the schema
-        fingerprint, the construction input a result depends on.
-        Persistence is strictly advisory: loads that fail to decode are
-        misses, writes that fail are dropped.
-        """
-        with self._lock:
-            self._store = store
-            self._store_namespace = namespace
-
-    def _load_persisted(
-        self, start: State
-    ) -> Optional[tuple[int, tuple[State, ...]]]:
-        from ..cache import codec
-
-        payload = self._store.load(
-            "rewrite", self._store_namespace, codec.state_key(start)
-        )
-        if not isinstance(payload, dict):
-            return None
-        frontier_size = payload.get("frontier")
-        wire = payload.get("disjuncts")
-        if not isinstance(frontier_size, int) or not isinstance(wire, list):
-            return None
-        try:
-            # The stored states are the exact canonical disjuncts a
-            # previous `_emit` produced, digest-protected by the
-            # envelope; decoding reconstructs them verbatim (order
-            # included) so replayed decisions are byte-identical.
-            disjuncts = tuple(codec.decode_state(entry) for entry in wire)
-        except ValueError:
-            return None
-        return (frontier_size, disjuncts)
-
-    def _persist_result(
-        self, start: State, frontier_size: int, disjuncts: tuple[State, ...]
-    ) -> None:
-        from ..cache import codec
-
-        try:
-            wire = [codec.encode_state(state) for state in disjuncts]
-        except codec.UnencodableValue:
-            return
-        if self._store.store(
-            "rewrite",
-            self._store_namespace,
-            codec.state_key(start),
-            {"frontier": frontier_size, "disjuncts": wire},
-        ):
-            self._counters["persisted_writes"] += 1
 
     def _remember(
         self, memo: OrderedDict, key: State, value, cap: int, counter: str
@@ -730,7 +675,8 @@ class RewriteEngine:
         union is complete: for any instance I, ``chase(I, Σ) ⊨ query``
         iff I satisfies some disjunct.  Disjuncts are deduplicated by
         isomorphism class and emitted in a deterministic order.  Raises
-        `RewritingBudgetExceeded` past the disjunct budget.
+        `RewritingBudgetExceeded` past the disjunct budget, and
+        ``ValueError`` for a budget below 1.
 
         ``budget`` is checked once per expansion step (each state popped
         off the BFS queue) and ticked through the emission/pruning
@@ -742,22 +688,17 @@ class RewriteEngine:
         """
         if query.free_variables:
             raise RewritingError("rewriting is implemented for Boolean CQs")
-        limit = self.max_disjuncts if max_disjuncts is None else max_disjuncts
+        limit = (
+            self.max_disjuncts
+            if max_disjuncts is None
+            else _check_limit(max_disjuncts)
+        )
         with stage("rewrite"), self._lock:
             self._counters["rewrites"] += 1
             start = canonical_state(query.atoms)
             cached = self._results.get(start)
             if cached is not None:
                 self._results.move_to_end(start)
-            elif self._store is not None:
-                cached = self._load_persisted(start)
-                if cached is not None:
-                    self._remember(
-                        self._results, start, cached, MAX_CACHED_RESULTS,
-                        "result_evictions",
-                    )
-                    self._counters["persisted_loads"] += 1
-            if cached is not None:
                 frontier_size, disjuncts = cached
                 self._counters["result_hits"] += 1
                 if frontier_size > limit:
@@ -784,8 +725,6 @@ class RewriteEngine:
                     self._results, start, (len(frontier), disjuncts),
                     MAX_CACHED_RESULTS, "result_evictions",
                 )
-                if self._store is not None:
-                    self._persist_result(start, len(frontier), disjuncts)
         return UnionOfConjunctiveQueries(
             tuple(
                 ConjunctiveQuery(atoms, (), f"{query.name}_rw{i}")

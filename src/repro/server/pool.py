@@ -136,9 +136,9 @@ class SessionPool:
         self.limits = limits if limits is not None else SessionLimits()
         self.max_fingerprints = max_fingerprints
         #: Optional durable `repro.cache.ArtifactStore` shared by every
-        #: session and compiled schema this pool creates; compiled
-        #: fingerprints are recorded into the store's warm set so a
-        #: restarted process can `warm_from_store()`.
+        #: session this pool creates; compiled fingerprints are
+        #: recorded into the store's warm set so a restarted process
+        #: can `warm_from_store()`.
         self.store = store
         self._lock = threading.RLock()
         #: fingerprint -> entry, in LRU order (hot end last).
@@ -182,13 +182,12 @@ class SessionPool:
             schema = schema_from_dict(schema)
         return as_compiled(schema)
 
-    def _register_store(self, compiled: CompiledSchema) -> None:
+    def _record_warm(self, compiled: CompiledSchema) -> None:
         if self.store is None:
             return
-        compiled.bind_store(self.store)
         if compiled.fingerprint in self._warm_recorded:
             # A fingerprint's warm-set entry never changes, so a
-            # recompile after eviction skips the rewrite.
+            # recompile after eviction skips the write.
             self._warm_recorded.move_to_end(compiled.fingerprint)
             return
         from ..cache.bundle import record_warm_schema
@@ -204,7 +203,7 @@ class SessionPool:
         with stage("compile"):
             compiled = self._build(schema)
         self._counters["schemas_compiled"] += 1
-        self._register_store(compiled)
+        self._record_warm(compiled)
         return compiled
 
     def _new_entry(self, compiled: CompiledSchema) -> _Entry:

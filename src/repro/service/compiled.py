@@ -80,7 +80,6 @@ class CompiledSchema:
         self.has_result_bounds = bool(self.result_bounded_methods)
         self.stats: dict[str, int] = {}
         self._artifacts: dict[str, Any] = {}
-        self._store = None
         self._lock = threading.RLock()
 
     @property
@@ -121,23 +120,6 @@ class CompiledSchema:
             }
 
         registry.register_provider("schema", schema_stats)
-
-    def bind_store(self, store) -> None:
-        """Attach a durable `repro.cache.ArtifactStore`.
-
-        The rewrite engine built by this compiled schema (now or later)
-        gets the store bound behind its result memo, under a namespace
-        derived from the fingerprint.
-        """
-        with self._lock:
-            self._store = store
-            engine = self._artifacts.get("rewrite-engine")
-            if engine is not None:
-                engine.bind_store(store, self._rewrite_namespace())
-
-    def _rewrite_namespace(self) -> str:
-        # ":sub" names the pruning engine; kept so existing stores still hit.
-        return f"rewrite:{self.fingerprint}:sub"
 
     # ------------------------------------------------------------------
     # Frozen artifacts
@@ -200,17 +182,14 @@ class CompiledSchema:
         """
         from ..containment.rewriting import RewriteEngine
 
-        def build() -> "RewriteEngine":
-            engine = RewriteEngine(
+        return self._artifact(
+            "rewrite-engine",
+            lambda: RewriteEngine(
                 self.linearization().rules,
                 subsumption=True,
                 matcher=self.matcher(),
-            )
-            if self._store is not None:
-                engine.bind_store(self._store, self._rewrite_namespace())
-            return engine
-
-        return self._artifact("rewrite-engine", build)
+            ),
+        )
 
     def engine_stats(self) -> dict:
         """Cache counters of the rewrite engine ({} until it is built)."""

@@ -159,17 +159,15 @@ class Session:
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
-        #: Optional durable `repro.cache.ArtifactStore` behind the LRU:
-        #: decisions and plans are loaded through it on memory misses
-        #: and written through on fresh computes; the compiled schema's
-        #: rewrite engines persist their result memo into the same
-        #: store.  A decision's durable key includes every limit that
-        #: can change the answer, so two sessions only ever share
-        #: entries they would have computed identically.
+        #: Optional durable `repro.cache.ArtifactStore` behind the LRU,
+        #: the only durable answer cache: decisions and plans are
+        #: loaded through it on memory misses and written through on
+        #: fresh computes (intermediate artifacts such as rewritings
+        #: stay in memory).  A decision's durable key includes every
+        #: limit that can change the answer, so two sessions only ever
+        #: share entries they would have computed identically.
         self.store = store
         self.durable_hits = 0
-        if store is not None:
-            self.compiled.bind_store(store)
 
     # ------------------------------------------------------------------
     @property

@@ -1,5 +1,4 @@
-"""Codec tests: envelopes are strict-in, total-out; state wire forms
-round-trip exactly.
+"""Codec tests: envelopes are strict-in, total-out.
 
 The envelope contract is the whole invalidation story of the
 persistence tier: *any* deviation — format version bump, different
@@ -21,11 +20,6 @@ from repro.cache import (
     decode_envelope,
     encode_envelope,
 )
-from repro.cache.codec import UnencodableValue
-from repro.containment.rewriting import canonical_state
-from repro.io import load_query
-from repro.logic.atoms import Atom
-from repro.logic.terms import Constant, Variable
 
 
 class TestEnvelope:
@@ -36,7 +30,7 @@ class TestEnvelope:
 
     def test_kind_mismatch_is_a_miss(self):
         blob = encode_envelope("decision", {"x": 1})
-        assert decode_envelope(blob, "rewrite") is None
+        assert decode_envelope(blob, "bundle") is None
 
     def test_format_version_mismatch_is_a_miss(self):
         envelope = json.loads(encode_envelope("decision", {"x": 1}))
@@ -79,58 +73,6 @@ class TestEnvelope:
         assert decode_envelope(blob, "decision") is None
 
 
-class TestStateWireForm:
-    def _state(self, text):
-        return canonical_state(load_query(text).atoms)
-
-    def test_roundtrip_preserves_atoms_exactly(self):
-        state = self._state("R(x, y), S(y, 'lit'), T(x, 3)")
-        wire = codec.encode_state(state)
-        json_safe = json.loads(json.dumps(wire))  # a real JSON trip
-        assert codec.decode_state(json_safe) == state
-
-    def test_state_key_is_stable_across_construction_order(self):
-        left = self._state("R(x, y), S(y, z)")
-        right = canonical_state(
-            load_query("R(a, b), S(b, c)").atoms
-        )
-        assert codec.state_key(left) == codec.state_key(right)
-
-    def test_distinct_states_get_distinct_keys(self):
-        assert codec.state_key(self._state("R(x, y)")) != codec.state_key(
-            self._state("R(x, x)")
-        )
-
-    def test_non_scalar_constant_is_unencodable(self):
-        state = (Atom("R", (Variable("x"), Constant((1, 2)))),)
-        with pytest.raises(UnencodableValue):
-            codec.encode_state(state)
-
-    def test_bool_constants_survive_the_trip(self):
-        # bool is an int subclass: the tag order in the codec must keep
-        # True decoding as True, not 1.
-        state = (Atom("R", (Constant(True), Constant(1))),)
-        decoded = codec.decode_state(
-            json.loads(json.dumps(codec.encode_state(state)))
-        )
-        assert decoded[0].terms[0].value is True
-        assert decoded[0].terms[1].value == 1
-
-    @pytest.mark.parametrize(
-        "wire",
-        [
-            "not a list",
-            [["R"]],  # missing terms
-            [["R", [["x", "y"]]]],  # unknown tag
-            [["R", [["v", 3]]]],  # variable name must be a string
-            [[3, [["v", "x"]]]],  # relation must be a string
-        ],
-    )
-    def test_malformed_wire_raises_value_error(self, wire):
-        with pytest.raises(ValueError):
-            codec.decode_state(wire)
-
-
 class TestArtifactStoreCounters:
     def test_hit_miss_invalid_write_accounting(self):
         store = ArtifactStore(MemoryKVStore())
@@ -140,15 +82,15 @@ class TestArtifactStoreCounters:
         store.kv.put("ns", "bad", b"garbage")
         assert store.load("decision", "ns", "bad") is None  # invalid
         # Wrong tier on a valid blob is also invalid, not a crash.
-        assert store.load("rewrite", "ns", "k") is None
+        assert store.load("bundle", "ns", "k") is None
         tiers = store.stats()["tiers"]
         assert tiers["decision"] == {
             "hits": 1, "misses": 1, "writes": 1, "invalid": 1,
         }
-        assert tiers["rewrite"]["invalid"] == 1
+        assert tiers["bundle"]["invalid"] == 1
 
     def test_unencodable_payload_is_skipped_not_raised(self):
         store = ArtifactStore(MemoryKVStore())
-        assert store.store("rewrite", "ns", "k", {"x": {1, 2}}) is False
-        assert store.load("rewrite", "ns", "k") is None
-        assert store.stats()["tiers"]["rewrite"]["writes"] == 0
+        assert store.store("bundle", "ns", "k", {"x": {1, 2}}) is False
+        assert store.load("bundle", "ns", "k") is None
+        assert store.stats()["tiers"]["bundle"]["writes"] == 0

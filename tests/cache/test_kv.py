@@ -12,7 +12,12 @@ import sqlite3
 
 import pytest
 
-from repro.cache import CacheError, MemoryKVStore, SQLiteKVStore
+from repro.cache import (
+    CacheError,
+    MemoryKVStore,
+    SQLiteKVStore,
+    open_directory,
+)
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -102,6 +107,12 @@ class TestSQLiteDurability:
         blocker.write_text("occupied")
         with pytest.raises(CacheError):
             SQLiteKVStore(blocker / "kv.sqlite")
+
+    def test_uncreatable_cache_dir_raises_typed_error(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("occupied")
+        with pytest.raises(CacheError, match="cannot create"):
+            open_directory(blocker / "cache")
 
     def test_data_path_errors_degrade_to_misses(self, tmp_path):
         store = SQLiteKVStore(tmp_path / "kv.sqlite")

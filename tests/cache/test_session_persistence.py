@@ -5,13 +5,21 @@ and plan through to the store and load-throughs on memory misses — so
 a *fresh* session (new process, cold LRU) over the same store serves
 the same responses without recomputing.  The durable key includes the
 fingerprint, the canonical query, and every limit that can change the
-answer.
+answer.  Decisions and plans are the only durable answers: the ID
+route's rewritings stay in memory.
 """
 
+import hashlib
 import json
 
-from repro.cache import ArtifactStore, MemoryKVStore, open_directory
+from repro.cache import (
+    ArtifactStore,
+    MemoryKVStore,
+    encode_envelope,
+    open_directory,
+)
 from repro.io import DecideResponse
+from repro.logic.terms import Variable
 from repro.service import Session, compile_schema
 from repro.workloads import (
     id_chain_workload,
@@ -144,3 +152,76 @@ class TestDurablePlan:
             forged_key, DecideResponse.from_dict
         ) is None
         assert fresh.durable_hits == 0
+
+
+def _write_legacy_rewrite_rows(store, compiled) -> tuple:
+    """Persist every rewriting ``compiled``'s engine holds the way
+    earlier builds did: tier ``rewrite``, namespace
+    ``rewrite:{fingerprint}:sub``, keyed by the digest of the canonical
+    start state.  Returns the namespace and the keys written."""
+    def term(t):
+        return ["v", t.name] if isinstance(t, Variable) else ["c", t.value]
+
+    namespace = f"rewrite:{compiled.fingerprint}:sub"
+    keys = []
+    for start, (frontier, disjuncts) in (
+        compiled.rewrite_engine()._results.items()
+    ):
+        key = hashlib.sha256(
+            ";".join(repr(a) for a in start).encode("utf-8")
+        ).hexdigest()
+        wire = [
+            [[a.relation, [term(t) for t in a.terms]] for a in state]
+            for state in disjuncts
+        ]
+        payload = {"frontier": frontier, "disjuncts": wire}
+        store.kv.put(namespace, key, encode_envelope("rewrite", payload))
+        keys.append(key)
+    return namespace, keys
+
+
+class TestSingleDurableTier:
+    QUERIES = ("R0(x)", "R1(x)", "Q() :- R0(x), R2(y)")
+
+    def test_id_route_writes_only_the_decision_tier(self):
+        store = ArtifactStore(MemoryKVStore())
+        compiled = compile_schema(id_chain_workload(4).schema)
+        session = Session(compiled, store=store)
+        for query in self.QUERIES:
+            assert session.decide(query).route == "linearization"
+        assert compiled.engine_stats()["rewrites"] > 0
+        tiers = store.stats()["tiers"]
+        assert set(tiers) == {"decision"}
+        assert tiers["decision"]["writes"] == len(self.QUERIES)
+        assert store.kv.namespaces() == (
+            f"decision:{compiled.fingerprint}",
+        )
+
+    def test_legacy_rewrite_rows_leave_decisions_hitting(self, tmp_path):
+        schema = id_chain_workload(4).schema
+        fresh = [
+            normalized(Session(schema).decide(query).to_dict())
+            for query in self.QUERIES
+        ]
+        store = open_directory(tmp_path / "cache")
+        writer = compile_schema(schema)
+        for query in self.QUERIES:
+            Session(writer, store=store).decide(query)
+        namespace, keys = _write_legacy_rewrite_rows(store, writer)
+        assert keys
+        store.close()
+
+        reopened = open_directory(tmp_path / "cache")
+        try:
+            session = Session(compile_schema(schema), store=reopened)
+            served = [session.decide(query) for query in self.QUERIES]
+            assert all(response.cached for response in served)
+            assert session.durable_hits == len(self.QUERIES)
+            assert [
+                normalized(response.to_dict()) for response in served
+            ] == fresh
+            # The old rows are neither read nor purged.
+            assert "rewrite" not in reopened.stats()["tiers"]
+            assert sorted(reopened.kv.scan(namespace)) == sorted(keys)
+        finally:
+            reopened.close()

@@ -195,6 +195,25 @@ class TestBudget:
         assert cold_caught.value.as_detail() == warm_caught.value.as_detail()
         assert cold_caught.value.reached == 3
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_budget_below_one_is_a_value_error(self, limit):
+        # Not an overflow: a single-state rewriting would otherwise
+        # pass live but overflow from the memo.  Rejected the same way
+        # at construction and per call, on cold and warm engines alike.
+        compiled = compile_schema(id_chain_workload(4).schema)
+        rules = compiled.linearization().rules
+        query = boolean_cq([atom("R0", "x")], name="Q")
+        with pytest.raises(ValueError, match="max_disjuncts") as caught:
+            RewriteEngine(rules, max_disjuncts=limit)
+        assert not isinstance(caught.value, RewritingError)
+        cold = RewriteEngine(rules)
+        warm = RewriteEngine(rules)
+        assert len(warm.rewrite(query).disjuncts) == 1
+        for engine in (cold, warm):
+            with pytest.raises(ValueError, match="max_disjuncts") as caught:
+                engine.rewrite(query, max_disjuncts=limit)
+            assert not isinstance(caught.value, RewritingError)
+
 
 # ----------------------------------------------------------------------
 # Subsumption pruning (optional): drop hom-implied disjuncts

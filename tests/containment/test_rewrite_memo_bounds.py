@@ -4,9 +4,8 @@ Distinct-query traffic must not grow an engine without bound: the
 canonical-state expansion memo and the whole-result memo are capped at
 `MAX_CACHED_STATES` / `MAX_CACHED_RESULTS`.  Eviction may cost
 recomputation but never changes an answer: output at a tiny cap (so
-entries are evicted in the middle of a rewrite) equals fresh output, an
-evicted result comes back from the durable tier byte-identically, and a
-rewrite that overflows its disjunct budget leaves at most the cap
+entries are evicted in the middle of a rewrite) equals fresh output, and
+a rewrite that overflows its disjunct budget leaves at most the cap
 behind.
 """
 
@@ -18,7 +17,6 @@ import tracemalloc
 import pytest
 
 from repro.answerability.axioms import prime_query
-from repro.cache import ArtifactStore, MemoryKVStore
 from repro.containment import RewriteEngine, RewritingBudgetExceeded
 from repro.containment import rewriting
 from repro.logic import atom, boolean_cq
@@ -123,33 +121,6 @@ class TestEvictionNeverChangesOutput:
         assert stats["state_evictions"] > 0
         assert stats["result_evictions"] >= len(queries)
         assert stats["result_hits"] == 0
-
-
-class TestDurableReload:
-    def test_evicted_result_reloads_byte_identically(self, monkeypatch):
-        _caps(monkeypatch, states=8, results=1)
-        store = ArtifactStore(MemoryKVStore())
-        first, second = _lookup_joins(4, 2)[:2]
-        engine = RewriteEngine(_lookup_rules(4))
-        engine.bind_store(store, "rewrite:test:lru")
-        computed = engine.rewrite(first)
-        engine.rewrite(second)
-        assert engine.stats()["result_evictions"] == 1  # `first` is out
-        built = engine.stats()["expansions_built"]
-        reloaded = engine.rewrite(first)
-        stats = engine.stats()
-        assert stats["persisted_loads"] == 1
-        assert stats["expansions_built"] == built  # no BFS re-run
-        assert repr(reloaded) == repr(computed)
-        assert [d.atoms for d in reloaded.disjuncts] == [
-            d.atoms for d in computed.disjuncts
-        ]
-        # The reload went back in through the capped insert, evicting
-        # `second`, and serves the next repeat from memory.
-        assert stats["result_evictions"] == 2
-        assert stats["cached_results"] == 1
-        engine.rewrite(first)
-        assert engine.stats()["result_hits"] == 2
 
 
 class TestBudgetOverflow:

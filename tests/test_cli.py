@@ -170,6 +170,16 @@ SIZE_FLAGS = {
         "--max-inflight-per-client",
     ),
 }
+#: Resource limits, on every command that decides: each must be >= 1.
+LIMIT_FLAGS = ("--max-rounds", "--max-facts", "--max-disjuncts")
+#: Positional arguments each deciding command needs to parse.
+LIMIT_COMMANDS = {
+    "decide": ["schema.json", "Q() :- R(x)"],
+    "plan": ["schema.json", "Q() :- R(x)"],
+    "batch": ["schema.json"],
+    "serve": [],
+    "fleet": [],
+}
 #: Quota flags that take a real number: (flag, bad value, message).
 QUOTA_FLAGS = (
     ("--client-rate", "0", "must be greater than 0"),
@@ -196,7 +206,9 @@ class TestCLISizeFlags:
     @pytest.mark.parametrize(
         "command, flag",
         [(command, flag) for command, flags in SIZE_FLAGS.items()
-         for flag in flags],
+         for flag in flags]
+        + [(command, flag) for command in LIMIT_COMMANDS
+           for flag in LIMIT_FLAGS],
     )
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_size_is_a_usage_error(
@@ -216,6 +228,17 @@ class TestCLISizeFlags:
             argv += [flag, "1"]
         args = vars(_build_parser().parse_args(argv))
         for flag in SIZE_FLAGS[command]:
+            assert args[flag[2:].replace("-", "_")] == 1
+
+    @pytest.mark.parametrize("command", sorted(LIMIT_COMMANDS))
+    def test_limits_of_one_parse(self, command):
+        from repro.__main__ import _build_parser
+
+        argv = [command, *LIMIT_COMMANDS[command]]
+        for flag in LIMIT_FLAGS:
+            argv += [flag, "1"]
+        args = vars(_build_parser().parse_args(argv))
+        for flag in LIMIT_FLAGS:
             assert args[flag[2:].replace("-", "_")] == 1
 
     @pytest.mark.parametrize("command", sorted(SIZE_FLAGS))
