@@ -65,8 +65,7 @@ Package map (details in DESIGN.md):
   serving layer the CLI and batch mode sit on);
 * `repro.cache` — the durable persistence tier: fingerprint-addressed
   SQLite/memory key-value stores, versioned artifact envelopes
-  (decisions, plans, precompiled-schema bundles), warm
-  restarts (DESIGN.md §2b);
+  (decisions, plans, the warm set), warm restarts (DESIGN.md §2b);
 * `repro.runtime` — request budgets: deadlines, cooperative
   cancellation, the retryable `DeadlineExceeded`/`Overloaded` errors;
 * `repro.server` — the serving front end: per-fingerprint session
@@ -92,7 +91,7 @@ __version__ = "1.5.0"
 _EXPORTED_BY = {
     ".cache": (
         "ArtifactStore", "CacheError", "KVStore", "MemoryKVStore",
-        "SQLiteKVStore", "WarmupError", "open_directory", "write_bundle",
+        "SQLiteKVStore", "WarmupError", "open_directory",
     ),
     ".answerability": (
         "AnswerabilityResult", "UniversalPlan", "choice_simplification",

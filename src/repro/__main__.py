@@ -243,11 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MANIFEST",
         help="fingerprint warmup manifest (JSON: a 'schemas' list of "
-        "inline schema objects or paths) or a precompiled bundle "
-        "written by repro.cache.write_bundle; every entry is "
-        "precompiled into the session pool before the readiness line "
-        "is emitted, so warmed fingerprints never pay first-request "
-        "compile latency",
+        "inline schema objects or paths); every entry is precompiled "
+        "into the session pool before the readiness line is emitted, "
+        "so warmed fingerprints never pay first-request compile "
+        "latency",
     )
 
     def add_serving_options(subparser: argparse.ArgumentParser) -> None:
@@ -359,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--warm",
         default=None,
         metavar="MANIFEST",
-        help="fingerprint warmup manifest or precompiled bundle each "
-        "worker loads before reporting ready and joining the ring",
+        help="fingerprint warmup manifest (JSON) each worker loads "
+        "before reporting ready and joining the ring",
     )
     add_cache_dir(fleet)
     fleet.add_argument(
@@ -569,18 +568,18 @@ def _warm_pool(
     pool: SessionPool, manifest: str | None
 ) -> tuple[int, str | None]:
     """Precompile the warm set into the pool: the ``--warm`` manifest
-    or bundle (when given) plus whatever warm set a bound durable
-    store remembers from previous runs.  Returns ``(warmed count,
+    (when given) plus whatever warm set a bound durable store
+    remembers from previous runs.  Returns ``(warmed count,
     typed error text or None)`` — a bad warm source degrades to cold
     serving with the error surfaced on the readiness frame, it does
     not kill the worker."""
-    from .cache import WarmupError, load_warm_source
+    from .io import WarmupError, load_warm_manifest
 
     warmed = 0
     warm_error: str | None = None
     if manifest is not None:
         try:
-            descriptions = load_warm_source(manifest)
+            descriptions = load_warm_manifest(manifest)
         except WarmupError as error:
             warm_error = str(error)
         else:

@@ -1,182 +1,25 @@
-"""Precompiled-schema bundles and the shared warm-source loader.
+"""Store-resident warm sets.
 
-A *bundle* is the successor of the ad-hoc fleet warm manifest: one file
-holding the schema descriptions a worker precompiles before it reports
-ready, wrapped in the same stamped envelope as every other persisted
-artifact (`repro.cache.codec`), so a bundle built by one library
-version is rejected — with a typed error, at startup — by another.
-
-`load_warm_source` is the single entry point the CLI/fleet use: it
-accepts either format (legacy manifest or bundle, detected by shape)
-and fails only with `WarmupError`, a `SchemaFormatError` subclass, so
-the serving layer can surface the message in the `ReadyFrame` and start
-cold instead of crashing the worker.  `load_warm_manifest` in
-`repro.io` delegates its per-entry validation to
-`validate_schema_entries` here — one validation path for both formats.
-
-Bundles also live *inside* an artifact store (tier ``"bundle"``,
+The warm set lives *inside* an artifact store (tier ``"bundle"``,
 namespace ``"warmset"``, one entry per schema fingerprint): a pool
 bound to a store records every schema it compiles, and a restarted
-process re-warms from that set without any manifest at all.
+process re-warms from that set without any manifest at all.  The
+``--warm`` manifest file is a separate, plain-JSON source loaded by
+`repro.io.load_warm_manifest`.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Iterable, Optional, Union
+from typing import Any
 
-from ..io import SchemaFormatError, schema_from_dict, schema_to_dict
-from .codec import decode_envelope, encode_envelope
+from ..io import SchemaFormatError, schema_from_dict
 from .tier import ArtifactStore
 
-#: Envelope kind / artifact tier of precompiled-schema bundles.
+#: Envelope kind / artifact tier of warm-set entries.
 BUNDLE_KIND = "bundle"
 
 #: Store namespace holding the warm set (one entry per fingerprint).
 WARMSET_NAMESPACE = "warmset"
-
-
-class WarmupError(SchemaFormatError):
-    """Typed failure loading a warm source (manifest or bundle).
-
-    Subclasses `SchemaFormatError` so existing manifest callers keep
-    working; the serving layer catches it, records the message in the
-    `ReadyFrame`, and serves cold.
-    """
-
-
-def validate_schema_entries(
-    entries: Iterable[Any],
-    origin: str,
-    *,
-    base_dir: Optional[Path] = None,
-) -> list[dict[str, Any]]:
-    """Validate warm-source entries into inline schema descriptions.
-
-    Shared by the legacy manifest loader and the bundle loader: string
-    entries are paths (resolved against `base_dir` when given), dict
-    entries are inline descriptions; every description is eagerly
-    parsed by `schema_from_dict` so a malformed source fails at
-    startup, not at first request.
-    """
-    from ..io import load_schema
-
-    descriptions: list[dict[str, Any]] = []
-    for index, entry in enumerate(entries):
-        if isinstance(entry, str):
-            candidate = Path(entry)
-            if not candidate.is_absolute() and base_dir is not None:
-                candidate = base_dir / candidate
-            try:
-                entry = schema_to_dict(load_schema(candidate))
-            except (OSError, json.JSONDecodeError) as error:
-                raise WarmupError(
-                    f"{origin}: entry {index} ({candidate}): {error}"
-                ) from error
-        if not isinstance(entry, dict):
-            raise WarmupError(
-                f"{origin}: entry {index} must be a schema object or "
-                f"path, got {type(entry).__name__}"
-            )
-        try:
-            schema_from_dict(entry)
-        except SchemaFormatError as error:
-            raise WarmupError(
-                f"{origin}: entry {index}: {error}"
-            ) from error
-        descriptions.append(entry)
-    return descriptions
-
-
-def write_bundle(
-    schemas: Iterable[Any], path: Union[str, Path]
-) -> Path:
-    """Write a bundle file from `Schema` objects or description dicts."""
-    from ..service.compiled import schema_fingerprint
-
-    entries = []
-    for schema in schemas:
-        description = (
-            schema if isinstance(schema, dict) else schema_to_dict(schema)
-        )
-        parsed = schema_from_dict(description)  # validate before sealing
-        entries.append(
-            {
-                "fingerprint": schema_fingerprint(parsed),
-                "schema": description,
-            }
-        )
-    target = Path(path)
-    target.write_bytes(encode_envelope(BUNDLE_KIND, {"schemas": entries}))
-    return target
-
-
-def load_bundle(path: Union[str, Path]) -> list[dict[str, Any]]:
-    """Load a bundle file; any mismatch is a typed `WarmupError`."""
-    bundle_path = Path(path)
-    try:
-        blob = bundle_path.read_bytes()
-    except OSError as error:
-        raise WarmupError(f"bundle {bundle_path}: {error}") from error
-    payload = decode_envelope(blob, BUNDLE_KIND)
-    if payload is None:
-        raise WarmupError(
-            f"bundle {bundle_path}: not a valid bundle for this library "
-            "version (format/version mismatch or corrupt file)"
-        )
-    entries = payload.get("schemas")
-    if not isinstance(entries, list):
-        raise WarmupError(
-            f"bundle {bundle_path}: payload missing 'schemas' list"
-        )
-    return validate_schema_entries(
-        (entry.get("schema") if isinstance(entry, dict) else entry
-         for entry in entries),
-        f"bundle {bundle_path}",
-        base_dir=bundle_path.parent,
-    )
-
-
-def _looks_like_bundle(path: Path) -> bool:
-    """Cheap shape sniff: bundles are envelope objects with our kind.
-
-    Only the outer shape is inspected — actual validation (version,
-    digest) happens in `load_bundle` so a *damaged* bundle reports a
-    bundle error, not a manifest parse error.
-    """
-    try:
-        head = json.loads(path.read_bytes().decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    return isinstance(head, dict) and head.get("kind") == BUNDLE_KIND
-
-
-def load_warm_source(path: Union[str, Path]) -> list[dict[str, Any]]:
-    """Load schema descriptions from a warm manifest *or* a bundle.
-
-    The one loader the serving layer calls: every failure mode —
-    missing file, bad JSON, wrong version, invalid schema entry — is a
-    `WarmupError` carrying a one-line reason fit for a `ReadyFrame`.
-    """
-    from ..io import load_warm_manifest
-
-    source = Path(path)
-    if _looks_like_bundle(source):
-        return load_bundle(source)
-    try:
-        return load_warm_manifest(source)
-    except WarmupError:
-        raise
-    except SchemaFormatError as error:
-        raise WarmupError(str(error)) from error
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise WarmupError(f"warm manifest {source}: {error}") from error
-
-
-# ----------------------------------------------------------------------
-# Warm sets inside an artifact store
-# ----------------------------------------------------------------------
 
 
 def record_warm_schema(

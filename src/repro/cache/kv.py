@@ -1,24 +1,24 @@
-"""Pluggable key–value stores: the persistence substrate of the cache tier.
+"""Key–value stores: the persistence substrate of the cache tier.
 
 A `KVStore` is the minimal durable interface the artifact tier needs:
-namespaced byte blobs with optional TTLs.  Two backends ship:
+namespaced byte blobs, read by key (`get`), written by key (`put`),
+and listed per namespace (`scan`).  Two backends ship:
 
-* `MemoryKVStore` — a process-local dict.  Used by tests and as the
-  seeding target for precompiled bundles when no durable store is
-  configured; it makes the tier's load-through/write-through paths
-  exercisable without touching disk.
+* `MemoryKVStore` — a process-local dict, the test fake: it makes the
+  tier's load-through/write-through paths exercisable without touching
+  disk.
 * `SQLiteKVStore` — a single-file store in WAL mode.  WAL gives
   multi-process safety on one host: writers take the file lock briefly
   per transaction while readers keep reading the last checkpointed
   state, which is exactly the fleet's shape (N worker processes sharing
-  one warm store).  ``busy_timeout`` turns lock contention into short
-  waits instead of errors.
+  one warm store).  A `BUSY_TIMEOUT_S` busy timeout turns lock
+  contention into short waits instead of errors.
 
 **Failure contract.**  A durable cache must never take serving down
 with it: after construction, the data-path methods (`get` / `put` /
-`delete` / `scan`) swallow backend errors — a failed read is a miss, a
-failed write is dropped — counting them in ``operational_errors`` and
-logging the first occurrence.  Construction itself raises the typed
+`scan`) swallow backend errors — a failed read is a miss, a failed
+write is dropped — counting them in ``operational_errors`` and logging
+the first occurrence.  Construction itself raises the typed
 `CacheError` only when the backing file is unusable *and* cannot be
 sidelined; a corrupt existing file is renamed to ``<name>.corrupt-<ts>``
 and recreated fresh (the entries were disposable by definition — every
@@ -37,6 +37,9 @@ from typing import Iterator, Optional, Union
 
 logger = logging.getLogger("repro.cache")
 
+#: Seconds a statement waits on another process's write lock.
+BUSY_TIMEOUT_S = 5.0
+
 
 class CacheError(Exception):
     """Typed failure of the persistence layer (never a wrong answer:
@@ -44,35 +47,21 @@ class CacheError(Exception):
 
 
 class KVStore:
-    """Abstract namespaced byte store with TTL support.
+    """Abstract namespaced byte store.
 
     Keys live inside namespaces (the tier derives one namespace per
-    fingerprint per artifact kind), values are opaque ``bytes``; a
-    ``ttl_s`` makes an entry expire — an expired entry behaves exactly
-    like an absent one.  Implementations must be thread-safe.
+    fingerprint per artifact kind), values are opaque ``bytes``.
+    Implementations must be thread-safe.
     """
 
     def get(self, namespace: str, key: str) -> Optional[bytes]:
         raise NotImplementedError
 
-    def put(
-        self,
-        namespace: str,
-        key: str,
-        value: bytes,
-        *,
-        ttl_s: Optional[float] = None,
-    ) -> None:
+    def put(self, namespace: str, key: str, value: bytes) -> None:
         raise NotImplementedError
 
-    def delete(self, namespace: str, key: str) -> bool:
-        raise NotImplementedError
-
-    def scan(self, namespace: str, prefix: str = "") -> Iterator[str]:
-        """Yield the live keys of a namespace (optionally by prefix)."""
-        raise NotImplementedError
-
-    def namespaces(self) -> tuple[str, ...]:
+    def scan(self, namespace: str) -> Iterator[str]:
+        """Yield the keys of a namespace."""
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial default
@@ -83,67 +72,24 @@ class KVStore:
 
 
 class MemoryKVStore(KVStore):
-    """In-process backend: a dict of dicts with lazy TTL expiry."""
+    """In-process backend: a dict of dicts."""
 
     def __init__(self) -> None:
-        self._data: dict[str, dict[str, tuple[bytes, Optional[float]]]] = {}
+        self._data: dict[str, dict[str, bytes]] = {}
         self._lock = threading.Lock()
-
-    def _live(
-        self, entries: dict[str, tuple[bytes, Optional[float]]], key: str
-    ) -> Optional[bytes]:
-        entry = entries.get(key)
-        if entry is None:
-            return None
-        value, expires_at = entry
-        if expires_at is not None and expires_at <= time.time():
-            del entries[key]
-            return None
-        return value
 
     def get(self, namespace: str, key: str) -> Optional[bytes]:
         with self._lock:
-            entries = self._data.get(namespace)
-            if entries is None:
-                return None
-            return self._live(entries, key)
+            return self._data.get(namespace, {}).get(key)
 
-    def put(
-        self,
-        namespace: str,
-        key: str,
-        value: bytes,
-        *,
-        ttl_s: Optional[float] = None,
-    ) -> None:
-        expires_at = time.time() + ttl_s if ttl_s is not None else None
+    def put(self, namespace: str, key: str, value: bytes) -> None:
         with self._lock:
-            self._data.setdefault(namespace, {})[key] = (
-                bytes(value),
-                expires_at,
-            )
+            self._data.setdefault(namespace, {})[key] = bytes(value)
 
-    def delete(self, namespace: str, key: str) -> bool:
+    def scan(self, namespace: str) -> Iterator[str]:
         with self._lock:
-            entries = self._data.get(namespace)
-            if entries is None:
-                return False
-            return entries.pop(key, None) is not None
-
-    def scan(self, namespace: str, prefix: str = "") -> Iterator[str]:
-        with self._lock:
-            entries = self._data.get(namespace, {})
-            keys = [
-                key
-                for key in list(entries)
-                if key.startswith(prefix)
-                and self._live(entries, key) is not None
-            ]
+            keys = list(self._data.get(namespace, {}))
         yield from keys
-
-    def namespaces(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(ns for ns, entries in self._data.items() if entries)
 
 
 class SQLiteKVStore(KVStore):
@@ -156,23 +102,21 @@ class SQLiteKVStore(KVStore):
     concurrency is SQLite's own WAL locking.
     """
 
-    def __init__(
-        self, path: Union[str, Path], *, busy_timeout_s: float = 5.0
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._lock = threading.RLock()
         self._conn: Optional[sqlite3.Connection] = None
         self.operational_errors = 0
         self._error_logged = False
         try:
-            self._conn = self._open(busy_timeout_s)
+            self._conn = self._open()
         except (sqlite3.Error, OSError):
             # A corrupt or non-database file: sideline it and start
             # fresh — cache entries are recomputable by construction,
             # so losing them is a cold start, not data loss.
             sidelined = self._sideline()
             try:
-                self._conn = self._open(busy_timeout_s)
+                self._conn = self._open()
             except (sqlite3.Error, OSError) as error:
                 raise CacheError(
                     f"cannot open cache store at {self.path}: {error}"
@@ -183,11 +127,11 @@ class SQLiteKVStore(KVStore):
                     sidelined,
                 )
 
-    def _open(self, busy_timeout_s: float) -> sqlite3.Connection:
+    def _open(self) -> sqlite3.Connection:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(
             str(self.path),
-            timeout=busy_timeout_s,
+            timeout=BUSY_TIMEOUT_S,
             check_same_thread=False,
             isolation_level=None,  # autocommit: one statement, one txn
         )
@@ -195,14 +139,16 @@ class SQLiteKVStore(KVStore):
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(
-                f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}"
+                f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}"
             )
+            # Files written by earlier builds carry one more, nullable
+            # column; every statement here names its columns, so those
+            # files keep working unchanged.
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS cache ("
                 "  namespace TEXT NOT NULL,"
                 "  key TEXT NOT NULL,"
                 "  value BLOB NOT NULL,"
-                "  expires_at REAL,"
                 "  PRIMARY KEY (namespace, key)"
                 ")"
             )
@@ -255,88 +201,41 @@ class SQLiteKVStore(KVStore):
                 return None
             try:
                 row = self._conn.execute(
-                    "SELECT value, expires_at FROM cache "
-                    "WHERE namespace = ? AND key = ?",
+                    "SELECT value FROM cache WHERE namespace = ? AND key = ?",
                     (namespace, key),
                 ).fetchone()
-                if row is None:
-                    return None
-                value, expires_at = row
-                if expires_at is not None and expires_at <= time.time():
-                    self._conn.execute(
-                        "DELETE FROM cache WHERE namespace = ? AND key = ?",
-                        (namespace, key),
-                    )
-                    return None
-                return bytes(value)
             except sqlite3.Error as error:
                 self._guard("get", error)
                 return None
+        return None if row is None else bytes(row[0])
 
-    def put(
-        self,
-        namespace: str,
-        key: str,
-        value: bytes,
-        *,
-        ttl_s: Optional[float] = None,
-    ) -> None:
-        expires_at = time.time() + ttl_s if ttl_s is not None else None
+    def put(self, namespace: str, key: str, value: bytes) -> None:
         with self._lock:
             if self._conn is None:
                 return
             try:
                 self._conn.execute(
-                    "INSERT OR REPLACE INTO cache "
-                    "(namespace, key, value, expires_at) VALUES (?, ?, ?, ?)",
-                    (namespace, key, sqlite3.Binary(value), expires_at),
+                    "INSERT OR REPLACE INTO cache (namespace, key, value) "
+                    "VALUES (?, ?, ?)",
+                    (namespace, key, sqlite3.Binary(value)),
                 )
             except sqlite3.Error as error:
                 self._guard("put", error)
 
-    def delete(self, namespace: str, key: str) -> bool:
-        with self._lock:
-            if self._conn is None:
-                return False
-            try:
-                cursor = self._conn.execute(
-                    "DELETE FROM cache WHERE namespace = ? AND key = ?",
-                    (namespace, key),
-                )
-                return cursor.rowcount > 0
-            except sqlite3.Error as error:
-                self._guard("delete", error)
-                return False
-
-    def scan(self, namespace: str, prefix: str = "") -> Iterator[str]:
+    def scan(self, namespace: str) -> Iterator[str]:
         with self._lock:
             if self._conn is None:
                 return
             try:
                 rows = self._conn.execute(
-                    "SELECT key FROM cache WHERE namespace = ? "
-                    "AND key GLOB ? AND (expires_at IS NULL OR expires_at > ?)"
-                    " ORDER BY key",
-                    (namespace, prefix + "*", time.time()),
+                    "SELECT key FROM cache WHERE namespace = ? ORDER BY key",
+                    (namespace,),
                 ).fetchall()
             except sqlite3.Error as error:
                 self._guard("scan", error)
                 return
         for (key,) in rows:
             yield key
-
-    def namespaces(self) -> tuple[str, ...]:
-        with self._lock:
-            if self._conn is None:
-                return ()
-            try:
-                rows = self._conn.execute(
-                    "SELECT DISTINCT namespace FROM cache ORDER BY namespace"
-                ).fetchall()
-            except sqlite3.Error as error:
-                self._guard("namespaces", error)
-                return ()
-        return tuple(ns for (ns,) in rows)
 
     def close(self) -> None:
         with self._lock:

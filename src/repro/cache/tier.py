@@ -3,7 +3,7 @@
 One `ArtifactStore` wraps one `KVStore` and exposes typed load/store
 of enveloped payloads, tracking per-*tier* counters (a tier is an
 artifact kind: ``"decision"`` for decisions and plans, ``"bundle"`` for
-precompiled schemas and the warm set):
+the warm set):
 
 * ``hits`` — blob present and its envelope decoded cleanly;
 * ``misses`` — no blob under the key;
@@ -61,15 +61,7 @@ class ArtifactStore:
         self._bump(tier, "hits")
         return payload
 
-    def store(
-        self,
-        tier: str,
-        namespace: str,
-        key: str,
-        payload: Any,
-        *,
-        ttl_s: Optional[float] = None,
-    ) -> bool:
+    def store(self, tier: str, namespace: str, key: str, payload: Any) -> bool:
         """Persist one artifact; returns False when it was skipped."""
         try:
             blob = encode_envelope(tier, payload)
@@ -77,7 +69,7 @@ class ArtifactStore:
             # A payload json.dumps cannot serialize, or a circular
             # reference: skip persisting, never raise.
             return False
-        self.kv.put(namespace, key, blob, ttl_s=ttl_s)
+        self.kv.put(namespace, key, blob)
         self._bump(tier, "writes")
         return True
 
@@ -88,13 +80,6 @@ class ArtifactStore:
                 for tier, counters in sorted(self._counters.items())
             }
         return {"backend": self.kv.describe(), "tiers": tiers}
-
-    def register_metrics(self, registry, name: str = "store") -> None:
-        """Register per-tier hit/miss/write/invalid counters as a
-        `repro.obs.MetricsRegistry` provider (``repro_store_tiers_*``
-        samples; DESIGN.md §3c).  ``name`` disambiguates when one
-        process observes several stores."""
-        registry.register_provider(name, self.stats)
 
     def close(self) -> None:
         self.kv.close()

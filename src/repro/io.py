@@ -65,6 +65,11 @@ class SchemaFormatError(ValueError):
     """Raised on malformed JSON schema descriptions."""
 
 
+class WarmupError(SchemaFormatError):
+    """Typed failure loading a ``--warm`` manifest: the serving layer
+    records the message on the `ReadyFrame` and serves cold."""
+
+
 # ----------------------------------------------------------------------
 # Schemas
 # ----------------------------------------------------------------------
@@ -91,9 +96,28 @@ def parse_constraint(text: str):
 
 
 def schema_from_dict(description: dict[str, Any]) -> Schema:
-    """Build a `Schema` from a parsed JSON description."""
+    """Build a `Schema` from a parsed JSON description.
+
+    Total over JSON values: any malformed description — a wrong type
+    anywhere, a bad bound or position, a constraint that does not fit
+    the declared relations — raises `SchemaFormatError`.
+    """
+    try:
+        return _build_schema(description)
+    except SchemaFormatError:
+        raise
+    except (AttributeError, TypeError, ValueError) as error:
+        raise SchemaFormatError(f"malformed schema: {error}") from error
+
+
+def _build_schema(description: dict[str, Any]) -> Schema:
     from .schema.schema import Schema
 
+    if not isinstance(description, dict):
+        raise SchemaFormatError(
+            "a schema must be a JSON object, got "
+            f"{type(description).__name__}"
+        )
     if "relations" not in description:
         raise SchemaFormatError("missing 'relations' section")
     if not isinstance(description["relations"], dict):
@@ -164,35 +188,48 @@ def load_warm_manifest(path: Union[str, Path]) -> list[dict[str, Any]]:
     `schema_from_dict` format) or a string path to a schema JSON file,
     resolved relative to the manifest.  Returns the inline descriptions
     (paths loaded and serialized), validated by a full compile-free
-    parse — a malformed manifest fails the worker at startup, not at
-    first request.
+    parse.  Every failure — missing file, bad JSON, a malformed entry —
+    is a `WarmupError` carrying a one-line reason.
     """
     manifest_path = Path(path)
-    with open(manifest_path) as handle:
-        payload = json.load(handle)
+    origin = f"warm manifest {manifest_path}"
+    try:
+        with open(manifest_path) as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise WarmupError(f"{origin}: {error}") from error
     if isinstance(payload, dict):
         entries = payload.get("schemas")
         if not isinstance(entries, list):
-            raise SchemaFormatError(
-                f"warm manifest {manifest_path}: expected a 'schemas' list"
-            )
+            raise WarmupError(f"{origin}: expected a 'schemas' list")
     elif isinstance(payload, list):
         entries = payload
     else:
-        raise SchemaFormatError(
-            f"warm manifest {manifest_path}: expected an object or array, "
+        raise WarmupError(
+            f"{origin}: expected an object or array, "
             f"got {type(payload).__name__}"
         )
-    # One validation path with the bundle loader: every entry is
-    # resolved and eagerly parsed by the shared validator, so both warm
-    # sources fail identically (with the typed `WarmupError`).
-    from .cache.bundle import validate_schema_entries
-
-    return validate_schema_entries(
-        entries,
-        f"warm manifest {manifest_path}",
-        base_dir=manifest_path.parent,
-    )
+    descriptions: list[dict[str, Any]] = []
+    for index, entry in enumerate(entries):
+        if isinstance(entry, str):
+            candidate = manifest_path.parent / entry
+            try:
+                entry = schema_to_dict(load_schema(candidate))
+            except (OSError, ValueError) as error:
+                raise WarmupError(
+                    f"{origin}: entry {index} ({candidate}): {error}"
+                ) from error
+        if not isinstance(entry, dict):
+            raise WarmupError(
+                f"{origin}: entry {index} must be a schema object or "
+                f"path, got {type(entry).__name__}"
+            )
+        try:
+            schema_from_dict(entry)
+        except SchemaFormatError as error:
+            raise WarmupError(f"{origin}: entry {index}: {error}") from error
+        descriptions.append(entry)
+    return descriptions
 
 
 def schema_to_dict(schema: Schema) -> dict[str, Any]:
@@ -572,7 +609,7 @@ class ReadyFrame:
     workers: Optional[int] = None
     #: Schemas precompiled from the warmup manifest before readiness.
     warmed: int = 0
-    #: Typed warm-source failure (`repro.cache.WarmupError` text): the
+    #: Typed warm-manifest failure (`WarmupError` text): the
     #: process started *cold* but alive — supervisors surface this in
     #: stats instead of the worker crashing at startup.
     warm_error: Optional[str] = None

@@ -104,13 +104,30 @@ class Schema:
         return method
 
     def add_constraint(self, constraint: Dependency) -> None:
-        for relation in constraint.relations():
-            if relation not in self._relations:
-                raise SchemaError(
-                    f"constraint mentions unknown relation {relation}: "
-                    f"{constraint}"
-                )
+        if isinstance(constraint, FunctionalDependency):
+            arity = self._relation_of(constraint.relation, constraint).arity
+            positions = (*constraint.determiner, constraint.determined)
+            fits = all(0 <= position < arity for position in positions)
+        else:
+            atoms = (*constraint.body, *getattr(constraint, "head", ()))
+            fits = all(
+                self._relation_of(atom.relation, constraint).arity
+                == len(atom.terms)
+                for atom in atoms
+            )
+        if not fits:
+            raise SchemaError(
+                f"constraint does not fit the declared arities: {constraint}"
+            )
         self._constraints.append(constraint)
+
+    def _relation_of(self, name: str, constraint: Dependency) -> Relation:
+        relation = self._relations.get(name)
+        if relation is None:
+            raise SchemaError(
+                f"constraint mentions unknown relation {name}: {constraint}"
+            )
+        return relation
 
     # ------------------------------------------------------------------
     # Introspection

@@ -100,27 +100,6 @@ class CompiledSchema:
                     self._artifacts[key] = build()
             return self._artifacts[key]
 
-    def register_metrics(self, registry) -> None:
-        """Register this schema's engine/matcher/artifact counters as
-        the ``schema`` provider of a `repro.obs.MetricsRegistry`.
-
-        Samples come out fingerprint-keyed (the flattener turns the
-        hex key into a bounded ``key`` label).  Registering a second
-        compiled schema replaces the provider — multi-schema serving
-        should observe through `SessionPool.register_metrics`, which
-        covers every live fingerprint.
-        """
-        def schema_stats() -> dict:
-            return {
-                self.fingerprint: {
-                    "artifacts": dict(self.stats),
-                    "engine": self.engine_stats(),
-                    "matcher": self.matcher_stats(),
-                }
-            }
-
-        registry.register_provider("schema", schema_stats)
-
     # ------------------------------------------------------------------
     # Frozen artifacts
     # ------------------------------------------------------------------

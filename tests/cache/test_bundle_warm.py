@@ -1,28 +1,33 @@
-"""Bundles, warm sources, batch warmup, and store-resident warm sets.
+"""Warm manifests, batch warmup, and store-resident warm sets.
 
-Covers the warm path end to end: `write_bundle`/`load_bundle` round
-trips, `load_warm_source` dispatching between legacy manifests and
-bundles with every failure a typed `WarmupError`,
-`SessionPool.warm_many` keeping its counters and fingerprints identical
+Covers the warm path end to end: `load_warm_manifest` failing only
+with a typed `WarmupError`, `SessionPool.warm_many` keeping its counters and fingerprints identical
 to a `warm()` loop, and `warm_from_store` re-admitting every schema a
 store-bound pool ever compiled.
 """
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
 from repro.cache import (
     ArtifactStore,
     MemoryKVStore,
-    WarmupError,
-    load_bundle,
     load_warm_set,
-    load_warm_source,
     open_directory,
-    write_bundle,
 )
-from repro.io import ReadyFrame, SchemaFormatError, schema_to_dict
+from repro.io import (
+    ReadyFrame,
+    SchemaFormatError,
+    WarmupError,
+    load_warm_manifest,
+    schema_to_dict,
+)
 from repro.server import SessionLimits, SessionPool
 from repro.service import compile_schema
 from repro.workloads import (
@@ -40,75 +45,86 @@ def descriptions():
     ]
 
 
-class TestBundleFormat:
-    def test_write_then_load_round_trips(self, tmp_path):
-        path = tmp_path / "warm.bundle"
-        write_bundle(
-            [university_schema(), descriptions()[1]], path
-        )
-        loaded = load_bundle(path)
-        assert loaded[0] == schema_to_dict(university_schema())
-        assert loaded[1] == descriptions()[1]
-
-    def test_bundle_records_fingerprints(self, tmp_path):
-        path = tmp_path / "warm.bundle"
-        write_bundle([university_schema()], path)
-        envelope = json.loads(path.read_bytes())
-        payload = json.loads(envelope["payload"])
-        assert payload["schemas"][0]["fingerprint"] == compile_schema(
-            university_schema()
-        ).fingerprint
-
-    def test_invalid_schema_is_rejected_at_write_time(self, tmp_path):
-        with pytest.raises(SchemaFormatError):
-            write_bundle([{"relations": "nope"}], tmp_path / "bad.bundle")
-
-    def test_corrupt_bundle_is_a_typed_error(self, tmp_path):
-        path = tmp_path / "warm.bundle"
-        write_bundle([university_schema()], path)
-        blob = bytearray(path.read_bytes())
-        # Flip a byte inside the payload: the digest check must fail.
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(WarmupError):
-            load_warm_source(path)
-
-    def test_version_drift_is_a_typed_error(self, tmp_path, monkeypatch):
-        path = tmp_path / "warm.bundle"
-        write_bundle([university_schema()], path)
-        monkeypatch.setattr("repro.__version__", "0.0.0-older")
-        with pytest.raises(WarmupError):
-            load_bundle(path)
-
-
-class TestWarmSourceDispatch:
-    def test_manifest_and_bundle_load_the_same_schemas(self, tmp_path):
+class TestWarmManifestErrors:
+    def test_manifest_loads_inline_schemas(self, tmp_path):
         wanted = descriptions()
         manifest = tmp_path / "warm.json"
         manifest.write_text(json.dumps({"schemas": wanted}))
-        bundle = tmp_path / "warm.bundle"
-        write_bundle(wanted, bundle)
-        assert load_warm_source(manifest) == wanted
-        assert load_warm_source(bundle) == wanted
+        assert load_warm_manifest(manifest) == wanted
 
     def test_missing_file_is_a_typed_error(self, tmp_path):
         with pytest.raises(WarmupError):
-            load_warm_source(tmp_path / "absent.json")
+            load_warm_manifest(tmp_path / "absent.json")
 
     def test_bad_json_is_a_typed_error(self, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text('{"schemas": [')
         with pytest.raises(WarmupError):
-            load_warm_source(broken)
+            load_warm_manifest(broken)
+
+    def test_binary_file_is_a_typed_error(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(WarmupError):
+            load_warm_manifest(binary)
+
+    def test_bad_path_entry_is_a_typed_error(self, tmp_path):
+        (tmp_path / "bad.json").write_text(json.dumps({"relations": 3}))
+        manifest = tmp_path / "warm.json"
+        manifest.write_text(json.dumps(["bad.json", "absent.json"]))
+        with pytest.raises(WarmupError, match="entry 0"):
+            load_warm_manifest(manifest)
 
     def test_bad_manifest_entry_is_a_typed_error(self, tmp_path):
         manifest = tmp_path / "warm.json"
         manifest.write_text(json.dumps({"schemas": [{"relations": 3}]}))
         with pytest.raises(WarmupError) as excinfo:
-            load_warm_source(manifest)
-        # WarmupError IS a SchemaFormatError: legacy callers catching
-        # the broad type keep working.
+            load_warm_manifest(manifest)
+        # WarmupError IS a SchemaFormatError: callers catching the
+        # broad type keep working.
         assert isinstance(excinfo.value, SchemaFormatError)
+
+
+class TestServeWithBadManifest:
+    def test_ready_line_carries_warm_error_and_serving_goes_on(
+        self, tmp_path
+    ):
+        good = schema_to_dict(university_schema())
+        bad = {
+            **good,
+            "methods": [{"name": "m", "relation": "Prof", "result_bound": 0}],
+        }
+        manifest = tmp_path / "warm.json"
+        manifest.write_text(json.dumps({"schemas": [good, bad]}))
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(good))
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(schema_path),
+             "--port", "0", "--warm", str(manifest)],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            ready = ReadyFrame.from_dict(
+                json.loads(process.stdout.readline())
+            )
+            assert "entry 1" in ready.warm_error
+            assert ready.warmed == 0
+            with socket.create_connection(
+                (ready.host, ready.port), timeout=30
+            ) as conn:
+                conn.sendall(b'{"query": "Udirectory(i, a, p)"}\n')
+                reply = json.loads(conn.makefile("rb").readline())
+            assert reply["decision"] == "yes"
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.stdout.close()
+            process.wait(10)
 
 
 class TestWarmMany:
@@ -201,10 +217,10 @@ class TestReadyFrameWarmError:
             port=4242,
             pid=7,
             warmed=0,
-            warm_error="bundle warm.bundle: not a valid bundle",
+            warm_error="warm manifest warm.json: expected a 'schemas' list",
         )
         wire = frame.to_dict()
-        assert wire["ready"]["warm_error"].startswith("bundle")
+        assert wire["ready"]["warm_error"].startswith("warm manifest")
         parsed = ReadyFrame.from_dict(wire)
         assert parsed.warm_error == frame.warm_error
 

@@ -11,21 +11,31 @@ route's rewritings stay in memory.
 
 import hashlib
 import json
+import sqlite3
+from contextlib import closing
 
 from repro.cache import (
+    STORE_FILENAME,
     ArtifactStore,
     MemoryKVStore,
     encode_envelope,
     open_directory,
 )
-from repro.io import DecideResponse
+from repro.io import DecideResponse, schema_to_dict
 from repro.logic.terms import Variable
+from repro.server import SessionLimits, SessionPool
 from repro.service import Session, compile_schema
 from repro.workloads import (
     id_chain_workload,
     lookup_chain_workload,
     university_schema,
 )
+
+
+def _rows(path) -> list:
+    """Every row of a store file, read with plain SQL."""
+    with closing(sqlite3.connect(path)) as conn:
+        return sorted(conn.execute("SELECT * FROM cache").fetchall())
 
 
 def normalized(payload: dict) -> str:
@@ -183,19 +193,23 @@ def _write_legacy_rewrite_rows(store, compiled) -> tuple:
 class TestSingleDurableTier:
     QUERIES = ("R0(x)", "R1(x)", "Q() :- R0(x), R2(y)")
 
-    def test_id_route_writes_only_the_decision_tier(self):
-        store = ArtifactStore(MemoryKVStore())
+    def test_id_route_writes_only_the_decision_tier(self, tmp_path):
+        store = open_directory(tmp_path / "cache")
         compiled = compile_schema(id_chain_workload(4).schema)
         session = Session(compiled, store=store)
-        for query in self.QUERIES:
-            assert session.decide(query).route == "linearization"
+        try:
+            for query in self.QUERIES:
+                assert session.decide(query).route == "linearization"
+        finally:
+            store.close()
         assert compiled.engine_stats()["rewrites"] > 0
         tiers = store.stats()["tiers"]
         assert set(tiers) == {"decision"}
         assert tiers["decision"]["writes"] == len(self.QUERIES)
-        assert store.kv.namespaces() == (
-            f"decision:{compiled.fingerprint}",
-        )
+        rows = _rows(tmp_path / "cache" / STORE_FILENAME)
+        assert {namespace for namespace, *__ in rows} == {
+            f"decision:{compiled.fingerprint}"
+        }
 
     def test_legacy_rewrite_rows_leave_decisions_hitting(self, tmp_path):
         schema = id_chain_workload(4).schema
@@ -225,3 +239,73 @@ class TestSingleDurableTier:
             assert sorted(reopened.kv.scan(namespace)) == sorted(keys)
         finally:
             reopened.close()
+
+
+#: The ``cache`` table as builds with per-entry expiry created it: one
+#: more, nullable ``expires_at`` column than the current layout.
+PARENT_TABLE = (
+    "CREATE TABLE cache ("
+    "  namespace TEXT NOT NULL,"
+    "  key TEXT NOT NULL,"
+    "  value BLOB NOT NULL,"
+    "  expires_at REAL,"
+    "  PRIMARY KEY (namespace, key)"
+    ")"
+)
+
+
+class TestParentLayout:
+    QUERIES = TestSingleDurableTier.QUERIES
+
+    def test_parent_written_store_hits_and_rewarms(self, tmp_path):
+        schema = id_chain_workload(4).schema
+        fresh = [
+            normalized(Session(schema).decide(query).to_dict())
+            for query in self.QUERIES
+        ]
+        # Stage the rows in memory, then write them into a file laid
+        # out the way the earlier build laid it out.
+        staging = ArtifactStore(MemoryKVStore())
+        writer_pool = SessionPool(limits=SessionLimits(), store=staging)
+        writer_pool.warm(schema_to_dict(university_schema()))
+        writer = compile_schema(schema)
+        writer_pool.warm(writer)
+        for query in self.QUERIES:
+            Session(writer, store=staging).decide(query)
+        rewrite_namespace, __ = _write_legacy_rewrite_rows(staging, writer)
+        namespaces = (
+            f"decision:{writer.fingerprint}", "warmset", rewrite_namespace
+        )
+        path = tmp_path / "cache" / STORE_FILENAME
+        path.parent.mkdir()
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute(PARENT_TABLE)
+            conn.executemany(
+                "INSERT INTO cache VALUES (?, ?, ?, NULL)",
+                [
+                    (namespace, key, staging.kv.get(namespace, key))
+                    for namespace in namespaces
+                    for key in staging.kv.scan(namespace)
+                ],
+            )
+            conn.commit()
+        before = _rows(path)
+        assert {row[0] for row in before} == set(namespaces)
+
+        reopened = open_directory(path.parent)
+        try:
+            session = Session(compile_schema(schema), store=reopened)
+            served = [session.decide(query) for query in self.QUERIES]
+            assert session.durable_hits == len(self.QUERIES)
+            assert [
+                normalized(response.to_dict()) for response in served
+            ] == fresh
+            restarted = SessionPool(limits=SessionLimits(), store=reopened)
+            assert restarted.warm_from_store() == 2
+            assert sorted(restarted.fingerprints()) == sorted(
+                writer_pool.fingerprints()
+            )
+        finally:
+            reopened.close()
+        # Nothing was purged, rewritten or migrated.
+        assert _rows(path) == before

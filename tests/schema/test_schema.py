@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.constraints import ConstraintClass, fd, tgd
+from repro.constraints import EGD, ConstraintClass, fd, tgd
+from repro.logic import Atom, Variable
 from repro.schema import AccessMethod, Relation, Schema, SchemaError
 from repro.workloads.paperschemas import university_schema
 
@@ -72,6 +73,42 @@ class TestSchema:
         schema.add_relation("R", 1)
         with pytest.raises(SchemaError):
             schema.add_constraint(tgd("R(x) -> S(x)"))
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            tgd("R(x,y) -> R(y,z,w)"),
+            tgd("R(x) -> R(x,y)"),
+            EGD(
+                (Atom("R", (Variable("x"), Variable("y"), Variable("z"))),),
+                Variable("x"),
+                Variable("y"),
+            ),
+            fd("R", [0], 6),
+            fd("R", [2], 1),
+        ],
+        ids=["tgd-head", "tgd-body", "egd", "fd-determined", "fd-determiner"],
+    )
+    def test_constraint_must_fit_declared_arities(self, constraint):
+        schema = Schema()
+        schema.add_relation("R", 2)
+        with pytest.raises(SchemaError, match="arities"):
+            schema.add_constraint(constraint)
+        assert schema.constraints == ()
+
+    def test_constraints_fitting_the_arities_are_accepted(self):
+        schema = Schema()
+        schema.add_relation("R", 2)
+        schema.add_constraint(tgd("R(x,y) -> R(y,z)"))
+        schema.add_constraint(
+            EGD(
+                (Atom("R", (Variable("x"), Variable("y"))),),
+                Variable("x"),
+                Variable("y"),
+            )
+        )
+        schema.add_constraint(fd("R", [0], 1))
+        assert len(schema.constraints) == 3
 
     def test_duplicate_method(self):
         schema = Schema()

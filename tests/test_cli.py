@@ -5,14 +5,17 @@ import os
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _warm_pool, main
 from repro.constraints import ConstraintClass, FunctionalDependency
 from repro.io import (
     SchemaFormatError,
+    WarmupError,
     load_query,
+    load_warm_manifest,
     schema_from_dict,
     schema_to_dict,
 )
+from repro.server import SessionLimits, SessionPool
 
 UNIVERSITY = {
     "relations": {"Prof": 3, "Udirectory": 3},
@@ -441,6 +444,71 @@ class TestCLIInputErrors:
         self, schema_file, capsys, command, query, needle
     ):
         self._fails([command, schema_file, query], capsys, needle)
+
+
+#: A valid two-column schema, and malformed variants of it keyed by
+#: what each one breaks.
+_VALID = {
+    "relations": {"R": 2},
+    "methods": [{"name": "m", "relation": "R", "inputs": [1]}],
+}
+MALFORMED_SCHEMAS = {
+    "top-level-number": 5,
+    "methods-number": {**_VALID, "methods": 5},
+    "method-entry-number": {**_VALID, "methods": [5]},
+    "constraints-number": {**_VALID, "constraints": 5},
+    "constraint-entry-number": {**_VALID, "constraints": [5]},
+    "attributes-number": {**_VALID, "attributes": {"R": 5}},
+    "result-bound-zero": {
+        **_VALID,
+        "methods": [{"name": "m", "relation": "R", "result_bound": 0}],
+    },
+    "result-bound-text": {
+        **_VALID,
+        "methods": [{"name": "m", "relation": "R", "result_bound": "x"}],
+    },
+    "input-past-arity": {
+        **_VALID,
+        "methods": [{"name": "m", "relation": "R", "inputs": [3]}],
+    },
+    "tgd-head-arity": {**_VALID, "constraints": ["R(x,y) -> R(y,z,w)"]},
+    "fd-position-past-arity": {**_VALID, "constraints": ["R: 1 -> 7"]},
+}
+
+
+class TestMalformedSchemas:
+    """Every malformed description is a `SchemaFormatError`: ``decide``
+    reports it as bad input, and a warm manifest holding it degrades to
+    cold serving."""
+
+    @pytest.fixture(params=sorted(MALFORMED_SCHEMAS))
+    def description(self, request):
+        return MALFORMED_SCHEMAS[request.param]
+
+    def test_loader_raises_schema_format_error(self, description):
+        with pytest.raises(SchemaFormatError):
+            schema_from_dict(description)
+
+    def test_decide_exits_2(self, description, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(description))
+        code = main(["decide", str(path), "R('c', y)"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_warm_manifest_entry_serves_cold(self, description, tmp_path):
+        manifest = tmp_path / "warm.json"
+        manifest.write_text(json.dumps({"schemas": [description]}))
+        with pytest.raises(WarmupError, match="entry 0"):
+            load_warm_manifest(manifest)
+        warmed, warm_error = _warm_pool(
+            SessionPool(limits=SessionLimits()), str(manifest)
+        )
+        assert warmed == 0
+        assert warm_error.startswith(f"warm manifest {manifest}")
 
 
 class TestCLIBatch:
