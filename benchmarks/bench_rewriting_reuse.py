@@ -18,16 +18,26 @@ distinct-query batches (`BENCH_service.json` recorded ~1.0x for
 * **lookup-chain joins** — the `bench_service_throughput` distinct-join
   family: disjoint-relation joins share no frontier states, so the win
   here is the memoized per-atom rewrite steps and the compiled rule
-  index (a smaller, honest number).
+  index (a smaller, honest number);
+* **star joins** — ``L_0(x, y_0) .. L_{k-1}(x, y_{k-1})`` for k = 2..6
+  under an exact and a bounded dump, decided through the ID route.
+  The ID route rewrites each lookup atom as its own piece, so the work
+  grows linearly in k where the whole-query UCQ has 4^k (exact) or
+  2^k (bounded) disjuncts (``product_disjuncts``).  Each row then
+  decides the shifted join over ``L_1 .. L_k``, whose k - 1 shared
+  pieces are whole-result memo hits (``result_hits``).
 
 Each record carries the engine's cache counters (expansions reused,
-atom-pattern hits) so the speedup can be attributed.  Results persist
-to ``BENCH_rewriting.json``; ``--smoke`` shrinks sizes for CI.
+atom-pattern hits, states, result hits) so the time can be attributed.
+Results persist to ``BENCH_rewriting.json``; ``--smoke`` shrinks sizes
+for CI.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import statistics
 import time
 
 from _harness import BenchRecord, write_bench_json
@@ -37,6 +47,7 @@ from repro.answerability.axioms import prime_query
 from repro.containment.rewriting import RewriteEngine
 from repro.logic.atoms import atom
 from repro.logic.queries import boolean_cq
+from repro.matching.matcher import Matcher
 from repro.service import Session, compile_schema
 from repro.workloads import id_chain_workload, lookup_chain_workload
 
@@ -162,6 +173,83 @@ def _decide_family(name: str, schema, queries) -> BenchRecord:
     )
 
 
+#: Star-join sizes of the piece-wise rows.
+STAR_SIZES = range(2, 7)
+
+
+def _star(lookups: range):
+    return boolean_cq(
+        [atom(f"L{i}", "x", f"y{i}") for i in lookups],
+        name=f"Qstar{lookups.start}_{lookups.stop}",
+    )
+
+
+def _star_join_family(
+    k: int, bound, *, repeats: int, product: bool
+) -> BenchRecord:
+    """A k-lookup star join through the ID decide route, then the
+    shifted star join sharing k - 1 of its pieces.  Every repeat uses
+    a fresh compiled schema with Σ^Lin and the engine prebuilt, so the
+    timings are rewriting and matching only."""
+    workload = lookup_chain_workload(k + 1, dump_bound=bound)
+    first, shifted = _star(range(k)), _star(range(1, k + 1))
+    expected = "yes" if bound is None else "no"
+    firsts, shifts = [], []
+    for __ in range(repeats):
+        compiled = compile_schema(workload.schema)
+        compiled.rewrite_engine()
+        start = time.perf_counter()
+        decision = decide_monotone_answerability(compiled, first).decision
+        middle = time.perf_counter()
+        again = decide_monotone_answerability(compiled, shifted).decision
+        firsts.append(middle - start)
+        shifts.append(time.perf_counter() - middle)
+        assert decision.truth.value == again.truth.value == expected, (
+            f"star join k={k} bound={bound}: {decision.truth.value}"
+        )
+    stats = compiled.engine_stats()
+    product_disjuncts = None
+    if product:
+        # The whole-query UCQ the ID route probed before the piece
+        # split, for the size comparison.
+        system = compiled.linearization()
+        ucq = RewriteEngine(system.rules, subsumption=True).rewrite(
+            prime_query(first)
+        )
+        start_instance = system.initial_instance(first)
+        matcher = Matcher()
+        assert any(
+            matcher.has(d.atoms, start_instance) for d in ucq.disjuncts
+        ) == (expected == "yes")
+        product_disjuncts = len(ucq.disjuncts)
+    low, median, high = statistics.quantiles(firsts, n=4)
+    shifted_median = statistics.median(shifts)
+    name = f"star-join-{k}-{'exact' if bound is None else 'bounded'}"
+    print(
+        f"  {name:34} decide {median * 1000:7.2f} ms "
+        f"(IQR {(high - low) * 1000:.2f})   "
+        f"shifted {shifted_median * 1000:7.2f} ms   "
+        f"states {stats['states']:4}   result hits {stats['result_hits']}"
+    )
+    return BenchRecord(
+        name,
+        min(firsts),
+        repeats,
+        {
+            "mode": "star-join",
+            "median_ms": round(median * 1000, 3),
+            "iqr_ms": round((high - low) * 1000, 3),
+            "shifted_median_ms": round(shifted_median * 1000, 3),
+            "decision": decision.truth.value,
+            "pieces": decision.detail["pieces"],
+            "disjuncts": decision.detail["disjuncts"],
+            "product_disjuncts": product_disjuncts,
+            "states": stats["states"],
+            "result_hits": stats["result_hits"],
+        },
+    )
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(prog="bench_rewriting_reuse")
     parser.add_argument(
@@ -194,6 +282,19 @@ def main(argv: list[str] | None = None) -> None:
             f"lookup-chain-{joins}-join-rewriting", join_schema, join_queries
         ),
     ]
+    print("star joins through the piece-wise ID route")
+    for bound in (None, 5):
+        for k in STAR_SIZES:
+            # The product UCQ of an exact 6-star takes seconds: the
+            # smoke run skips it.
+            records.append(
+                _star_join_family(
+                    k,
+                    bound,
+                    repeats=4 if args.smoke else 9,
+                    product=not args.smoke or k <= 4,
+                )
+            )
 
     from pathlib import Path
 
@@ -206,7 +307,10 @@ def main(argv: list[str] | None = None) -> None:
     else:
         out = None  # write_bench_json's default: BENCH_rewriting.json
     path = write_bench_json(
-        "rewriting", records, extra={"smoke": args.smoke}, path=out
+        "rewriting",
+        records,
+        extra={"smoke": args.smoke, "host_cpus": os.cpu_count()},
+        path=out,
     )
     print(f"wrote {path}")
 

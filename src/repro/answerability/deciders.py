@@ -65,11 +65,17 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 SchemaLike = Union[Schema, "CompiledSchema"]
 
 
-def _as_compiled(schema: SchemaLike) -> "CompiledSchema":
+def _compiled_for(
+    schema: SchemaLike, query: ConjunctiveQuery
+) -> "CompiledSchema":
+    """The compiled schema, after checking that ``query`` fits it: a
+    misfit atom raises `repro.schema.QuerySchemaError`."""
     # Imported lazily: `repro.service` depends on this module.
     from ..service.compiled import as_compiled
 
-    return as_compiled(schema)
+    compiled = as_compiled(schema)
+    compiled.check_query(query)
+    return compiled
 
 
 def freeze_free_variables(
@@ -170,7 +176,7 @@ def decide_with_fds(
     terminates (the only existential rules fire once per view fact), so
     the answer is definitive.
     """
-    compiled = _as_compiled(schema)
+    compiled = _compiled_for(schema, query)
     if query.free_variables:
         query, __ = freeze_free_variables(query)
     simplified = compiled.simplification("fd")
@@ -204,17 +210,18 @@ def decide_with_ids(
 
     ``route="linearization"`` (default) is complete and terminating: the
     containment is simulated by linear TGDs (Prop 5.5) and decided by
-    the backward UCQ rewriting of the compiled schema's `RewriteEngine`
-    — so a batch of queries over one compiled schema shares every
-    rewriting step.  ``route="chase"`` applies the existence-check
-    simplification and chases directly (ablation baseline; may return
-    UNKNOWN on divergent chases).  The engine prunes rewriting
-    disjuncts hom-implied by smaller kept ones before the
-    canonical-database probes; the pruned UCQ is logically equivalent
-    to the raw one, so fewer disjuncts are matched for the same
-    decision.
+    the piece-wise backward rewriting of the compiled schema's
+    `RewriteEngine` (`RewriteEngine.entails`) over the saturated
+    canonical database — so a batch of queries over one compiled
+    schema shares every rewriting step, and queries with a piece in
+    common share that piece's whole rewriting.  ``route="chase"``
+    applies the existence-check simplification and chases directly
+    (ablation baseline; may return UNKNOWN on divergent chases).  The
+    engine prunes rewriting disjuncts hom-implied by smaller kept ones
+    before the probes; the pruned UCQ is logically equivalent to the
+    raw one, so fewer disjuncts are matched for the same decision.
     """
-    compiled = _as_compiled(schema)
+    compiled = _compiled_for(schema, query)
     if query.free_variables:
         query, __ = freeze_free_variables(query)
     if route == "chase":
@@ -232,12 +239,13 @@ def decide_with_ids(
     if route != "linearization":
         raise ValueError(f"unknown route {route}")
 
-    system = compiled.linearization()
-    start = system.initial_instance(query)
-    target = prime_query(query)
+    start = compiled.linearization().initial_instance(query)
     try:
-        rewriting = compiled.rewrite_engine().rewrite(
-            target, max_disjuncts=max_disjuncts, budget=budget
+        decision = compiled.rewrite_engine().entails(
+            start,
+            prime_query(query),
+            max_disjuncts=max_disjuncts,
+            budget=budget,
         )
     except RewritingBudgetExceeded as error:
         return Decision.unknown(
@@ -245,21 +253,9 @@ def decide_with_ids(
         )
     except RewritingError as error:
         return Decision.unknown(str(error), route="linearization")
-    matcher = compiled.matcher()
-    for disjunct in rewriting.disjuncts:
-        if matcher.has(disjunct.atoms, start, budget=budget):
-            return Decision.yes(
-                "linearized rewriting matches the saturated canonical "
-                "database (Prop 5.5 + backward rewriting)",
-                certificate=disjunct,
-                route="linearization",
-                disjuncts=len(rewriting.disjuncts),
-            )
-    return Decision.no(
-        "no disjunct of the complete linearized rewriting matches",
-        route="linearization",
-        disjuncts=len(rewriting.disjuncts),
-    )
+    decision.reason = f"linearized containment (Prop 5.5), {decision.reason}"
+    decision.detail["route"] = "linearization"
+    return decision
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +341,7 @@ def decide_with_uids_and_fds(
     round cap (the paper's EXPTIME bound uses a generalized linearization
     we approximate by the chase — see DESIGN.md §2).
     """
-    compiled = _as_compiled(schema)
+    compiled = _compiled_for(schema, query)
     if query.free_variables:
         query, __ = freeze_free_variables(query)
     fds, constraints = compiled.uids_fds()
@@ -390,7 +386,7 @@ def decide_with_choice_simplification(
     containment is definitive when it terminates (e.g. weakly-acyclic or
     full TGDs) and UNKNOWN at the cap otherwise.
     """
-    compiled = _as_compiled(schema)
+    compiled = _compiled_for(schema, query)
     if query.free_variables:
         query, __ = freeze_free_variables(query)
     decision = _chase_containment(
@@ -456,7 +452,7 @@ def decide_monotone_answerability(
     simplifiability of FDs + general IDs open, §9) — those return
     UNKNOWN.
     """
-    compiled = _as_compiled(schema)
+    compiled = _compiled_for(schema, query)
     fragment = compiled.constraint_class
     if fragment in (ConstraintClass.NONE, ConstraintClass.FDS):
         return AnswerabilityResult(

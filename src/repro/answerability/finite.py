@@ -34,7 +34,7 @@ from .deciders import (
     DEFAULT_CHASE_FACTS,
     AnswerabilityResult,
     SchemaLike,
-    _as_compiled,
+    _compiled_for,
     decide_monotone_answerability,
     decide_with_uids_and_fds,
 )
@@ -82,7 +82,7 @@ def decide_finite_monotone_answerability(
     other fragments with result bounds are out of the paper's decidable
     territory and return UNKNOWN.
     """
-    compiled = _as_compiled(schema)
+    compiled = _compiled_for(schema, query)
     fragment = compiled.constraint_class
     if fragment in _FINITELY_CONTROLLABLE:
         result = decide_monotone_answerability(

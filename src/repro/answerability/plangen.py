@@ -362,15 +362,15 @@ def generate_static_plan(
     from .axioms import amondet_start_instance, prime_query
     from .deciders import (
         DEFAULT_CHASE_FACTS,
-        _as_compiled,
         _chase_containment,
+        _compiled_for,
         decide_with_ids,
     )
 
     if query.free_variables:
         raise PlanExtractionError("static plans are extracted for Boolean CQs")
 
-    compiled = _as_compiled(schema)
+    compiled = _compiled_for(schema, query)
     fragment = compiled.constraint_class
     if fragment in (
         ConstraintClass.IDS,

@@ -34,10 +34,36 @@ over one fixed rule set:
   sorted deterministically, so the output (and any cache key derived
   from it) is stable across runs and across engine instances.
 
-The free `rewrite()` keeps its historical signature as a thin
-compile-on-the-fly wrapper.  Only single-head linear TGDs are supported
-(every rule emitted by our linearization has this shape); the engine
-raises otherwise.
+Deciding ``chase(I, Σ) ⊨ Q`` goes through `RewriteEngine.entails`,
+which rewrites Q **piece by piece** instead of as one product UCQ
+(the rewriting of a star join has one disjunct per combination of its
+atoms' rewritings — 4^k of them for k lookups under an exact dump):
+
+* the *affected positions* of the rules (existential head positions,
+  closed under frontier propagation) are computed once per engine.
+  Every other position holds only terms of I in any chase, so a query
+  variable with an occurrence at a non-affected position is *rigid*:
+  it can only map into adom(I);
+* the query splits into *pieces*, the connected components of its
+  atoms under shared non-rigid variables;
+* each piece is rewritten as the Boolean CQ ``P ∧ ANSWER(x̄)``, x̄ its
+  join variables (rigid variables that occur in another piece too).
+  `ANSWER` is a reserved relation no rule mentions, so its atom is
+  never resolved and x̄ counts as shared: no step unifies x̄ with an
+  existential, while factorization may still identify entries of x̄.
+  The rewriting code is unchanged and its memos now hit per piece
+  shape; ``max_disjuncts`` caps each piece's frontier;
+* each piece's disjuncts are evaluated over I into a table of x̄
+  tuples, and the tables are hash-joined on their shared variables,
+  stopping at the first empty table or join.  A YES carries the
+  matching piece disjuncts, concatenated, as one CQ certificate.
+
+`RewriteEngine.rewrite` — the whole-query UCQ — stays public; the raw
+``RewriteEngine(rules, subsumption=False).rewrite(Q)`` probed over I is
+the test oracle for `entails`.  The free `rewrite()` keeps its
+historical signature as a thin compile-on-the-fly wrapper.  Only
+single-head linear TGDs are supported (every rule emitted by our
+linearization has this shape); the engine raises otherwise.
 """
 
 from __future__ import annotations
@@ -47,9 +73,9 @@ from collections import OrderedDict
 from typing import Iterable, Optional, Sequence
 
 from ..constraints.tgd import TGD
+from ..data.instance import Instance
 from ..defaults import DEFAULT_MAX_DISJUNCTS
 from ..logic.atoms import Atom
-from ..logic.evaluation import holds
 from ..logic.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..logic.terms import Constant, Null, Term, Variable
 from ..matching.matcher import default_matcher, freeze_atoms
@@ -68,6 +94,10 @@ MAX_CACHED_STATES = 4096
 #: Whole rewriting results a `RewriteEngine` keeps (least recently used
 #: evicted first; an evicted result is recomputed).
 MAX_CACHED_RESULTS = 512
+
+#: The reserved relation carrying a piece's join variables through its
+#: rewriting (`RewriteEngine.entails`).  No rule may mention it.
+ANSWER = "__answer__"
 
 
 def _check_limit(max_disjuncts: int) -> int:
@@ -255,6 +285,40 @@ def _factorizations(atoms: State) -> Iterable[tuple[Atom, ...]]:
                 yield merged
 
 
+def _affected_positions(rules: Sequence[TGD]) -> frozenset[tuple[str, int]]:
+    """The (relation, position) pairs a chase under ``rules`` can fill
+    with a fresh null: existential head positions, closed under
+    frontier propagation (a head position is affected when every body
+    occurrence of its variable is).  Keyed by relation name alone, so a
+    relation used at two arities is over-approximated — which only
+    makes fewer variables rigid."""
+    affected: set[tuple[str, int]] = set()
+    for rule in rules:
+        head = rule.head[0]
+        existentials = set(rule.existential_variables())
+        for i, term in enumerate(head.terms):
+            if term in existentials:
+                affected.add((head.relation, i))
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            body, head = rule.body[0], rule.head[0]
+            for i, term in enumerate(head.terms):
+                if not isinstance(term, Variable):
+                    continue
+                if (head.relation, i) in affected:
+                    continue
+                if all(
+                    (body.relation, j) in affected
+                    for j, other in enumerate(body.terms)
+                    if other == term
+                ):
+                    affected.add((head.relation, i))
+                    changed = True
+    return frozenset(affected)
+
+
 # ----------------------------------------------------------------------
 # The incremental engine
 # ----------------------------------------------------------------------
@@ -306,6 +370,10 @@ class RewriteEngine:
                 raise RewritingError(
                     f"rewriting needs single-head linear TGDs, got {rule}"
                 )
+            if ANSWER in (rule.body[0].relation, rule.head[0].relation):
+                raise RewritingError(
+                    f"relation {ANSWER!r} is reserved, got {rule}"
+                )
         # Rename every rule apart once, into a reserved namespace that
         # cannot collide with canonical state variables (`_q*`), pattern
         # variables (`_p*`), or application-fresh variables (`_f*`).
@@ -332,6 +400,8 @@ class RewriteEngine:
         self._results: OrderedDict[
             State, tuple[int, tuple[State, ...]]
         ] = OrderedDict()
+        #: `_affected_positions` of the rules, built on first `pieces`.
+        self._affected: Optional[frozenset[tuple[str, int]]] = None
         self._lock = threading.RLock()
         self._counters = {
             "rewrites": 0,
@@ -733,6 +803,176 @@ class RewriteEngine:
             name=f"{query.name}_rewriting",
         )
 
+    # ------------------------------------------------------------------
+    # Piece-wise entailment
+    # ------------------------------------------------------------------
+    def pieces(
+        self, query: ConjunctiveQuery
+    ) -> list[tuple[tuple[Atom, ...], tuple[Variable, ...]]]:
+        """The pieces of a Boolean CQ with their join variables.
+
+        A variable with an occurrence at a non-affected position is
+        *rigid*: it can only map into the start instance.  Pieces are
+        the connected components of the atoms under shared non-rigid
+        variables, in order of their first atom; a piece's join
+        variables are its rigid variables that occur in another piece
+        too, in order of first occurrence.
+        """
+        affected = self._affected
+        if affected is None:
+            # Idempotent, so a race only computes it twice.
+            affected = self._affected = _affected_positions(self.rules)
+        atoms = query.atoms
+        rigid = {
+            term
+            for a in atoms
+            for i, term in enumerate(a.terms)
+            if isinstance(term, Variable) and (a.relation, i) not in affected
+        }
+        parent = list(range(len(atoms)))
+
+        def find(index: int) -> int:
+            while parent[index] != index:
+                parent[index] = parent[parent[index]]
+                index = parent[index]
+            return index
+
+        first_atom: dict[Variable, int] = {}
+        for index, a in enumerate(atoms):
+            for term in a.terms:
+                if isinstance(term, Variable) and term not in rigid:
+                    parent[find(index)] = find(
+                        first_atom.setdefault(term, index)
+                    )
+        groups: dict[int, list[Atom]] = {}
+        for index, a in enumerate(atoms):
+            groups.setdefault(find(index), []).append(a)
+        pieces = []
+        for group in groups.values():
+            variables = tuple(
+                dict.fromkeys(
+                    term
+                    for a in group
+                    for term in a.terms
+                    if isinstance(term, Variable)
+                )
+            )
+            pieces.append((tuple(group), variables))
+        spread: dict[Variable, int] = {}
+        for __, variables in pieces:
+            for variable in variables:
+                spread[variable] = spread.get(variable, 0) + 1
+        return [
+            (
+                group,
+                tuple(
+                    v for v in variables if v in rigid and spread[v] > 1
+                ),
+            )
+            for group, variables in pieces
+        ]
+
+    def entails(
+        self,
+        start: Instance,
+        query: ConjunctiveQuery,
+        *,
+        max_disjuncts: Optional[int] = None,
+        budget: Optional[Budget] = None,
+    ) -> Decision:
+        """Decide ``chase(start, rules) ⊨ query`` piece by piece.
+
+        Each piece P of `pieces` with join variables x̄ is rewritten as
+        ``P ∧ ANSWER(x̄)`` (no answer atom when x̄ is empty), its
+        disjuncts are evaluated over ``start`` into a table of x̄
+        tuples, and the tables are hash-joined on shared variables.
+        The first empty table or join answers NO without rewriting the
+        remaining pieces.  A YES carries the matching piece disjuncts as
+        one CQ certificate.  ``detail`` records ``disjuncts`` (summed
+        over the pieces rewritten) and ``pieces``.
+
+        ``max_disjuncts`` caps each piece's frontier
+        (`RewritingBudgetExceeded`); ``budget`` is polled by every piece
+        rewriting and ticked by the evaluation.
+        """
+        if query.free_variables:
+            raise RewritingError("rewriting is implemented for Boolean CQs")
+        if any(a.relation == ANSWER for a in query.atoms):
+            raise RewritingError(f"relation {ANSWER!r} is reserved")
+        pieces = self.pieces(query)
+        disjuncts = 0
+        columns: dict[Variable, int] = {}
+        # join-variable values (in `columns` order) -> the disjunct each
+        # piece so far matched them with.
+        rows: dict[tuple, tuple[State, ...]] = {(): ()}
+        for index, (atoms, answer) in enumerate(pieces):
+            if answer:
+                atoms = atoms + (Atom(ANSWER, answer),)
+            # Through the public `rewrite`, so every piece's rewriting
+            # is one call a tracer or profiler can attribute.
+            rewriting = self.rewrite(
+                ConjunctiveQuery(atoms, (), f"{query.name}_p{index}"),
+                max_disjuncts=max_disjuncts,
+                budget=budget,
+            )
+            states = tuple(d.atoms for d in rewriting.disjuncts)
+            disjuncts += len(states)
+            with stage("match"):
+                table = self._answers(states, answer, start, budget)
+            rows, columns = _join(
+                rows, columns, table, answer, pieces[index + 1:]
+            )
+            if not rows:
+                return Decision.no(
+                    f"piece-wise rewriting: piece {index + 1} of "
+                    f"{len(pieces)} has no match joining the earlier ones",
+                    disjuncts=disjuncts,
+                    pieces=len(pieces),
+                )
+        witness = next(iter(rows.values()))
+        return Decision.yes(
+            "piece-wise rewriting matches the start instance "
+            f"(pieces: {len(pieces)})",
+            certificate=_certificate(pieces, witness, f"{query.name}_pw"),
+            disjuncts=disjuncts,
+            pieces=len(pieces),
+        )
+
+    def _answers(
+        self,
+        states: tuple[State, ...],
+        answer: tuple[Variable, ...],
+        start: Instance,
+        budget: Optional[Budget],
+    ) -> dict[tuple, State]:
+        """Each answer tuple of a piece's disjuncts over ``start``,
+        mapped to the first disjunct producing it."""
+        matcher = self._matcher
+        if not answer:
+            for state in states:
+                if matcher.has(state, start, budget=budget):
+                    return {(): state}
+            return {}
+        table: dict[tuple, State] = {}
+        for state in states:
+            body = tuple(a for a in state if a.relation != ANSWER)
+            [head] = [a for a in state if a.relation == ANSWER]
+            bound = {t for a in body for t in a.terms}
+            assert all(
+                t in bound for t in head.terms if isinstance(t, Variable)
+            ), f"unbound answer variable in {state}"
+            for assignment in matcher.homomorphisms(
+                body, start, budget=budget
+            ):
+                table.setdefault(
+                    tuple(
+                        assignment[t] if isinstance(t, Variable) else t
+                        for t in head.terms
+                    ),
+                    state,
+                )
+        return table
+
     def stats(self) -> dict:
         """Cache-traffic counters (cross-query reuse shows up here;
         ``state_evictions``/``result_evictions`` count LRU evictions)."""
@@ -750,6 +990,73 @@ class RewriteEngine:
             f"RewriteEngine({len(self.rules)} rules, "
             f"{len(self._expansions)} states cached)"
         )
+
+
+def _join(
+    rows: dict[tuple, tuple[State, ...]],
+    columns: dict[Variable, int],
+    table: dict[tuple, State],
+    answer: tuple[Variable, ...],
+    later: Sequence[tuple[tuple[Atom, ...], tuple[Variable, ...]]],
+) -> tuple[dict[tuple, tuple[State, ...]], dict[Variable, int]]:
+    """Hash-join one piece's answer table into the rows so far, then
+    project the rows onto the variables later pieces still join on
+    (keeping one witness per projected row)."""
+    shared = [i for i, v in enumerate(answer) if v in columns]
+    fresh = [i for i, v in enumerate(answer) if v not in columns]
+    probe = [columns[answer[i]] for i in shared]
+    by_key: dict[tuple, list[tuple[tuple, State]]] = {}
+    for values, state in table.items():
+        by_key.setdefault(tuple(values[i] for i in shared), []).append(
+            (values, state)
+        )
+    order = list(columns) + [answer[i] for i in fresh]
+    needed = {v for __, variables in later for v in variables}
+    keep = [p for p, v in enumerate(order) if v in needed]
+    joined: dict[tuple, tuple[State, ...]] = {}
+    for row, witness in rows.items():
+        for values, state in by_key.get(tuple(row[p] for p in probe), ()):
+            full = row + tuple(values[i] for i in fresh)
+            joined.setdefault(tuple(full[p] for p in keep), witness + (state,))
+    return joined, {order[p]: n for n, p in enumerate(keep)}
+
+
+def _certificate(
+    pieces: Sequence[tuple[tuple[Atom, ...], tuple[Variable, ...]]],
+    witness: Sequence[State],
+    name: str,
+) -> ConjunctiveQuery:
+    """The matched piece disjuncts as one Boolean CQ.
+
+    Each disjunct's answer terms become its piece's join variables —
+    identified with each other, or with a constant, where the disjunct
+    identifies them — and its other variables are renamed apart per
+    piece.  The CQ holds on the start instance and entails the target
+    under the rules.
+    """
+    unifier = _Unifier()
+    atoms: list[Atom] = []
+    for index, ((__, answer), state) in enumerate(zip(pieces, witness)):
+        renaming: dict[Term, Term] = {}
+        for a in state:
+            if a.relation != ANSWER:
+                continue
+            for variable, term in zip(answer, a.terms):
+                if isinstance(term, Variable) and term not in renaming:
+                    renaming[term] = variable
+                else:
+                    unifier.union(variable, renaming.get(term, term))
+        for a in state:
+            if a.relation == ANSWER:
+                continue
+            for term in a.terms:
+                if isinstance(term, Variable) and term not in renaming:
+                    renaming[term] = Variable(f"{term.name}_{index}")
+            atoms.append(a.substitute(renaming))
+    merged = {term: unifier.find(term) for term in list(unifier._parent)}
+    if merged:
+        atoms = [a.substitute(merged) for a in atoms]
+    return ConjunctiveQuery(tuple(dict.fromkeys(atoms)), (), name)
 
 
 # ----------------------------------------------------------------------
@@ -787,27 +1094,19 @@ def linear_contains(
 ) -> Decision:
     """Decide ``query ⊆Σ target`` for single-head linear TGDs Σ.
 
-    Complete and terminating (up to the disjunct safety valve).  Pass an
-    ``engine`` over the same rules to share rewriting work across calls.
+    Decided by `RewriteEngine.entails` over CanonDB(query): complete and
+    terminating (up to the disjunct safety valve, which caps each
+    piece).  Pass an ``engine`` over the same rules to share rewriting
+    work across calls.
     """
     try:
         if engine is None:
             engine = RewriteEngine(rules, max_disjuncts=max_disjuncts)
-        rewriting = engine.rewrite(target, max_disjuncts=max_disjuncts)
+        canonical, __ = query.canonical_instance()
+        return engine.entails(
+            canonical, target, max_disjuncts=max_disjuncts
+        )
     except RewritingBudgetExceeded as error:
         return Decision.unknown(str(error), error=error.as_detail())
     except RewritingError as error:
         return Decision.unknown(str(error))
-    canonical, __ = query.canonical_instance()
-    for disjunct in rewriting.disjuncts:
-        if holds(disjunct, canonical):
-            return Decision.yes(
-                f"rewriting disjunct {disjunct.name} matches the canonical "
-                "database",
-                certificate=disjunct,
-                disjuncts=len(rewriting.disjuncts),
-            )
-    return Decision.no(
-        "no disjunct of the complete UCQ rewriting matches",
-        disjuncts=len(rewriting.disjuncts),
-    )

@@ -2,6 +2,8 @@
 
 from .access import AccessMethod
 from .relation import Relation
-from .schema import Schema, SchemaError
+from .schema import QuerySchemaError, Schema, SchemaError
 
-__all__ = ["AccessMethod", "Relation", "Schema", "SchemaError"]
+__all__ = [
+    "AccessMethod", "QuerySchemaError", "Relation", "Schema", "SchemaError",
+]

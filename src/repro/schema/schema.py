@@ -13,7 +13,7 @@ model (§2).  It offers a fluent builder API::
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from ..constraints.analysis import (
     ClassifiedConstraints,
@@ -27,11 +27,19 @@ from ..data.instance import Instance
 from .access import AccessMethod
 from .relation import Relation
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..logic.queries import ConjunctiveQuery
+
 Dependency = Union[TGD, EGD, FunctionalDependency]
 
 
 class SchemaError(ValueError):
     """Raised on inconsistent schema definitions."""
+
+
+class QuerySchemaError(ValueError):
+    """A query atom names a relation the schema lacks, or has the
+    wrong arity for it."""
 
 
 class Schema:
@@ -163,6 +171,22 @@ class Schema:
 
     def arities(self) -> dict[str, int]:
         return {name: rel.arity for name, rel in self._relations.items()}
+
+    def check_query(self, query: "ConjunctiveQuery") -> None:
+        """Raise `QuerySchemaError` unless every atom of ``query`` names
+        a declared relation and has its arity."""
+        for a in query.atoms:
+            relation = self._relations.get(a.relation)
+            if relation is None:
+                raise QuerySchemaError(
+                    f"query atom {a} names relation {a.relation!r}, "
+                    "which the schema does not declare"
+                )
+            if relation.arity != a.arity:
+                raise QuerySchemaError(
+                    f"query atom {a} has {a.arity} terms, but relation "
+                    f"{a.relation!r} has arity {relation.arity}"
+                )
 
     def relation_names(self) -> tuple[str, ...]:
         return tuple(self._relations)

@@ -24,7 +24,7 @@ routing.
 `repro.server.lines.FrameMemo` (a line that keeps repeating stops being
 decoded after its second sighting), forwarded verbatim, and the
 worker's reply line is written back to the client as received,
-straight from the worker channel's ``data_received``: no Task, no
+straight from the worker channel's ``buffer_updated``: no Task, no
 re-encoding.  A reply is decoded (``replies_decoded``) only to learn a
 spelling's fingerprint the first time, or when a request log wants its
 fields.
@@ -82,6 +82,7 @@ from ..runtime import Overloaded, WorkerLost
 from .hashring import DEFAULT_REPLICAS, HashRing
 from .lines import (
     MAX_FRAME_BYTES,
+    READ_CHUNK_BYTES,
     FrameLoop,
     FrameMemo,
     Reply,
@@ -109,13 +110,13 @@ CHANNEL_LIMIT_BYTES = 8 * MAX_FRAME_BYTES
 OnReply = Callable[[Union[bytes, WorkerLost]], None]
 
 
-class _Channel(asyncio.Protocol):
+class _Channel(asyncio.BufferedProtocol):
     """One TCP connection to a worker, multiplexing requests FIFO.
 
     The worker processes frames on one connection strictly in order,
     so matching replies to requests needs no correlation ids: a deque
     of callbacks, called in arrival order with each reply line's bytes
-    straight from ``data_received`` (the dispatcher relays them
+    straight from ``buffer_updated`` (the dispatcher relays them
     undecoded).  A lost connection calls every pending callback with
     `WorkerLost` — the caller turns that into a retryable error frame.
 
@@ -128,6 +129,7 @@ class _Channel(asyncio.Protocol):
         self.worker_id = worker_id
         self._on_lost = on_lost
         self._transport: Optional[asyncio.Transport] = None
+        self._chunk = memoryview(bytearray(READ_CHUNK_BYTES))
         self._buffer = bytearray()
         self._pending: deque[OnReply] = deque()
         self._closed = False
@@ -138,9 +140,12 @@ class _Channel(asyncio.Protocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._lost()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._chunk
+
+    def buffer_updated(self, nbytes: int) -> None:
         buffer = self._buffer
-        buffer += data
+        buffer += self._chunk[:nbytes]
         while True:
             index = buffer.find(b"\n")
             if index < 0:
@@ -596,7 +601,7 @@ class FleetDispatcher:
         """Relay one decide/plan line to its shard's worker.  The
         worker's reply line is passed on as is — the worker already
         stamped the request id and encoded it exactly as this loop
-        would — straight from the channel's ``data_received``."""
+        would — straight from the channel's ``buffer_updated``."""
         worker_id = self.ring.node_for(self.routing_key(spelling))
         client = (
             self._workers.get(worker_id) if worker_id is not None else None

@@ -22,7 +22,7 @@ one.  A host scales by processes (``python -m repro fleet``), not by
 threads.
 Connections are read by the shared `repro.server.lines.FrameLoop`: what
 the loop answers itself (a hit, a malformed frame, ping/stats/metrics,
-a quota shed) is written back from the connection's ``data_received``
+a quota shed) is written back from the connection's ``buffer_updated``
 with no Task at all.  Request lines go through a
 `repro.server.lines.FrameMemo`, so a line that keeps repeating byte for
 byte stops being JSON-decoded after its second sighting

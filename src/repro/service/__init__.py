@@ -20,7 +20,8 @@ from .compiled import (
     compile_schema,
     schema_fingerprint,
 )
-from .session import QuerySchemaError, Session, canonical_query_key
+from ..schema.schema import QuerySchemaError
+from .session import Session, canonical_query_key
 
 __all__ = [
     "CompiledSchema", "as_compiled", "compile_schema",

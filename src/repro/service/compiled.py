@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..answerability.linearization import LinearizedSystem
     from ..answerability.simplification import SimplificationResult
     from ..containment.rewriting import RewriteEngine
+    from ..logic.queries import ConjunctiveQuery
     from ..matching.matcher import Matcher
 
 #: Simplification kinds a compiled schema can hold.
@@ -87,6 +88,11 @@ class CompiledSchema:
         """A copy of the compiled schema (mutating it cannot desync the
         fingerprint or the frozen artifacts)."""
         return self._schema.copy()
+
+    def check_query(self, query: "ConjunctiveQuery") -> None:
+        """Raise `QuerySchemaError` unless the query fits the schema
+        (the one check every decider and `Session` runs)."""
+        self._schema.check_query(query)
 
     # ------------------------------------------------------------------
     def _artifact(self, key: str, build: Callable[[], Any]) -> Any:

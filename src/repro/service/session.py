@@ -63,11 +63,6 @@ QueryLike = Union[str, ConjunctiveQuery]
 MAX_TEXTS_PER_ENTRY = 4
 
 
-class QuerySchemaError(ValueError):
-    """A query atom names a relation the schema lacks, or has the
-    wrong arity for it."""
-
-
 def _frozen(value: Any) -> Any:
     """``value`` with every dict made a read-only mapping and every list
     a tuple, so a cache entry can be shared without copying it."""
@@ -143,7 +138,6 @@ class Session:
         store=None,
     ) -> None:
         self.compiled = as_compiled(schema)
-        self._arities = self.compiled.schema.arities()
         self.max_rounds = max_rounds
         self.max_facts = max_facts
         self.max_disjuncts = max_disjuncts
@@ -182,18 +176,7 @@ class Session:
         """The parsed query, checked against the schema's relations."""
         if isinstance(query, str):
             query = parse_cq(query)
-        for a in query.atoms:
-            arity = self._arities.get(a.relation)
-            if arity is None:
-                raise QuerySchemaError(
-                    f"query atom {a} names relation {a.relation!r}, "
-                    "which the schema does not declare"
-                )
-            if arity != a.arity:
-                raise QuerySchemaError(
-                    f"query atom {a} has {a.arity} terms, but relation "
-                    f"{a.relation!r} has arity {arity}"
-                )
+        self.compiled.check_query(query)
         return query
 
     def _cache_get(self, key: tuple) -> Optional[Any]:

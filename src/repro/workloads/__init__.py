@@ -7,6 +7,7 @@ from .generators import (
     id_chain_workload,
     id_width_workload,
     lookup_chain_workload,
+    lookup_fanout_workload,
     random_id_workload,
     tgd_transfer_workload,
     uid_fd_workload,
@@ -35,7 +36,7 @@ from .paperschemas import (
 __all__ = [
     "Workload", "directory_instance", "fd_determinacy_workload",
     "id_chain_workload", "id_width_workload",
-    "lookup_chain_workload", "random_id_workload",
+    "lookup_chain_workload", "lookup_fanout_workload", "random_id_workload",
     "tgd_transfer_workload", "uid_fd_workload",
     "RateLimitExceeded", "ServiceSelection", "WebService",
     "chemistry_service", "movie_service",

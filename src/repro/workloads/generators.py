@@ -8,6 +8,8 @@ their scaling (reproducing the complexity shape of each row):
 * `lookup_chain_workload` — the Example 1.2/1.3 pattern scaled: a
   directory dump plus n by-id lookup relations under IDs; answerable
   exactly when the dump is unbounded;
+* `lookup_fanout_workload` — the same relations with the IDs reversed,
+  a star join that stays one rewriting piece (a slow request);
 * `id_width_workload` — IDs of growing width w (the EXPTIME dimension of
   Thm 5.3 vs the NP dimension of Thm 5.4);
 * `fd_determinacy_workload` — the Example 1.5 pattern scaled: a bound-1
@@ -82,6 +84,41 @@ def lookup_chain_workload(
         query,
         expected,
         "Example 1.2/1.3 scaled",
+    )
+
+
+def lookup_fanout_workload(lookups: int) -> Workload:
+    """Bounded directory + n lookup relations, every directory id in each.
+
+    Like `lookup_chain_workload`, but the IDs run the other way,
+    ``Dir[0] ⊆ L_i[0]``, the dump is bounded, and the query joins all n
+    lookups on one id.  The join id only occurs at positions the chase
+    can fill with nulls, so the whole query is one rewriting piece and
+    deciding it takes time exponential in n (seconds at n = 7): the
+    family serves as a deliberately slow request.  Ground truth: not
+    answerable — a directory id witnesses the join, but with the
+    directory empty an id in every lookup cannot be found.
+    """
+    schema = Schema()
+    schema.add_relation("Dir", 1)
+    schema.add_method("dump", "Dir", inputs=[], result_bound=5)
+    for i in range(lookups):
+        name = f"L{i}"
+        schema.add_relation(name, 2)
+        schema.add_method(f"by_id_{i}", name, inputs=[0])
+        schema.add_constraint(
+            inclusion_dependency("Dir", (0,), name, (0,), 1, 2)
+        )
+    query = boolean_cq(
+        [atom(f"L{i}", "x", f"y{i}") for i in range(lookups)],
+        name=f"Qfanout{lookups}",
+    )
+    return Workload(
+        f"lookup-fanout-{lookups}",
+        schema,
+        query,
+        False,
+        "one-piece star join (slow-request family)",
     )
 
 
@@ -306,7 +343,10 @@ def random_id_workload(
     for i in range(length):
         relation = rng.choice(names)
         nxt = f"x{i + 1}"
-        atoms_list.append(atom(relation, var, nxt))
+        # The path runs through the first two positions; the others get
+        # fresh variables (a unary atom keeps only its first).
+        terms = [var, nxt] + [f"z{i}_{j}" for j in range(2, arity)]
+        atoms_list.append(atom(relation, *terms[:arity]))
         var = nxt
     query = boolean_cq(atoms_list, name=f"Qrand{seed}")
     return Workload(f"random-ids-{seed}", schema, query, None, "random")

@@ -8,6 +8,7 @@ the chase route, and the semantic falsifier.
 import pytest
 
 from repro.answerability import (
+    decide_finite_monotone_answerability,
     decide_monotone_answerability,
     decide_with_choice_simplification,
     decide_with_fds,
@@ -15,11 +16,18 @@ from repro.answerability import (
     decide_with_uids_and_fds,
     find_amondet_counterexample,
     freeze_free_variables,
+    generate_static_plan,
     minimize_query_under_fds,
 )
 from repro.constraints import ConstraintClass, fd, tgd
 from repro.logic import Constant, Variable, atom, boolean_cq, cq
-from repro.schema import Schema
+from repro.schema import QuerySchemaError, Schema
+from repro.workloads import (
+    fd_determinacy_workload,
+    random_id_workload,
+    tgd_transfer_workload,
+    uid_fd_workload,
+)
 from repro.workloads.paperschemas import (
     example_6_1_schema,
     query_example_6_1,
@@ -207,15 +215,20 @@ class TestQueryMinimization:
 class TestDispatcher:
     def test_routes(self):
         cases = [
-            (university_schema(ud_bound=100), "linearization"),
+            (university_schema(ud_bound=100), query_q2(), "linearization"),
             (
                 university_schema(ud_bound=100, with_fd=True),
+                query_q2(),
                 "choice+separability",
             ),
-            (example_6_1_schema(), "choice-simplification"),
+            (
+                example_6_1_schema(),
+                query_example_6_1(),
+                "choice-simplification",
+            ),
         ]
-        for schema, route in cases:
-            result = decide_monotone_answerability(schema, query_q2())
+        for schema, query, route in cases:
+            result = decide_monotone_answerability(schema, query)
             assert result.route == route, schema
 
     def test_fd_route(self):
@@ -254,3 +267,49 @@ class TestDispatcher:
         )
         assert result.route == "direct"
         assert result.is_yes
+
+
+class TestQueriesMustFitTheSchema:
+    """Every decider entry point rejects a query atom over an undeclared
+    relation, or with the wrong arity, with `QuerySchemaError` — the
+    same check `Session` runs — instead of failing inside a route."""
+
+    ENTRY_POINTS = [
+        ("monotone", decide_monotone_answerability, university_schema()),
+        ("finite", decide_finite_monotone_answerability, university_schema()),
+        ("plan", generate_static_plan, university_schema()),
+        ("fds", decide_with_fds, fd_determinacy_workload(2).schema),
+        ("ids", decide_with_ids, university_schema()),
+        ("uids-fds", decide_with_uids_and_fds, uid_fd_workload(2).schema),
+        (
+            "choice",
+            decide_with_choice_simplification,
+            tgd_transfer_workload(2).schema,
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "decide, schema",
+        [entry[1:] for entry in ENTRY_POINTS],
+        ids=[entry[0] for entry in ENTRY_POINTS],
+    )
+    def test_misfit_atoms_raise_query_schema_error(self, decide, schema):
+        relation = schema.relations[0]
+        too_long = atom(
+            relation.name, *[f"v{i}" for i in range(relation.arity + 1)]
+        )
+        with pytest.raises(QuerySchemaError, match="arity"):
+            decide(schema, boolean_cq([too_long]))
+        with pytest.raises(QuerySchemaError, match="does not declare"):
+            decide(schema, boolean_cq([atom("Undeclared", "x")]))
+
+    def test_ternary_random_workload_decides(self):
+        # Seed 8 used to build binary query atoms over ternary
+        # relations and died with an IndexError.
+        workload = random_id_workload(
+            8, arity=3, bound=5, relations=4, ids=5
+        )
+        result = decide_monotone_answerability(
+            workload.schema, workload.query
+        )
+        assert not result.is_unknown

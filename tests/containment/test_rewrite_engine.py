@@ -20,13 +20,19 @@ from repro.containment import (
     RewritingError,
     rewrite,
 )
-from repro.containment.rewriting import _isomorphic, canonical_state
-from repro.constraints.tgd import TGD
+from repro.answerability.deciders import decide_with_ids
+from repro.containment.rewriting import ANSWER, _isomorphic, canonical_state
+from repro.constraints.tgd import TGD, tgd
+from repro.data.instance import Instance
 from repro.logic import Variable, atom, boolean_cq
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant
 from repro.service import compile_schema
-from repro.workloads import id_chain_workload, lookup_chain_workload
+from repro.workloads import (
+    id_chain_workload,
+    lookup_chain_workload,
+    lookup_fanout_workload,
+)
 
 
 def _disjunct_reprs(ucq):
@@ -218,6 +224,72 @@ class TestBudget:
 # ----------------------------------------------------------------------
 # Subsumption pruning (optional): drop hom-implied disjuncts
 # ----------------------------------------------------------------------
+class TestPieces:
+    def test_star_join_splits_at_its_rigid_join_variable(self):
+        workload = lookup_chain_workload(3)
+        engine = compile_schema(workload.schema).rewrite_engine()
+        pieces = engine.pieces(prime_query(workload.query))
+        assert [len(atoms) for atoms, __ in pieces] == [1, 1, 1]
+        assert all(answer == (Variable("x"),) for __, answer in pieces)
+
+    def test_join_variable_at_affected_positions_only_stays_one_piece(self):
+        workload = lookup_fanout_workload(3)
+        engine = compile_schema(workload.schema).rewrite_engine()
+        [(atoms, answer)] = engine.pieces(prime_query(workload.query))
+        assert len(atoms) == 3 and answer == ()
+
+    def test_max_disjuncts_caps_each_piece_not_the_product(self):
+        # The whole-query UCQ of an exact 3-star has 4^3 disjuncts;
+        # each piece has 4, so a cap of 8 now decides it.
+        workload = lookup_chain_workload(3)
+        compiled = compile_schema(workload.schema)
+        with pytest.raises(RewritingBudgetExceeded):
+            compiled.rewrite_engine().rewrite(
+                prime_query(workload.query), max_disjuncts=8
+            )
+        decision = decide_with_ids(compiled, workload.query, max_disjuncts=8)
+        assert decision.is_yes
+        assert decision.detail["pieces"] == 3
+        assert decision.detail["disjuncts"] == 12
+
+    def test_factorized_join_variables_shape_the_certificate(self):
+        # Under S(x, y) -> exists z. T(x, z), T's second position is
+        # affected: the pieces are {T(u, w), T(v, w)} joined with
+        # R(u, v) on u and v.  The start instance satisfies the query
+        # only with u = v, which the certificate must keep.
+        rules = [tgd("S(x, y) -> T(x, z)")]
+        engine = RewriteEngine(rules)
+        query = boolean_cq(
+            [atom("R", "u", "v"), atom("T", "u", "w"), atom("T", "v", "w")]
+        )
+        assert len(engine.pieces(query)) == 2
+        start = Instance(
+            [Atom("R", (Constant(1), Constant(1))),
+             Atom("S", (Constant(1), Constant(2)))]
+        )
+        decision = engine.entails(start, query)
+        assert decision.is_yes
+        certificate = decision.certificate
+        relations = sorted(a.relation for a in certificate.atoms)
+        assert relations == ["R", "S"]
+        [r_atom] = [a for a in certificate.atoms if a.relation == "R"]
+        assert r_atom.terms[0] == r_atom.terms[1]
+        no_loop = Instance(
+            [Atom("R", (Constant(1), Constant(2))),
+             Atom("S", (Constant(1), Constant(3))),
+             Atom("S", (Constant(2), Constant(3)))]
+        )
+        assert engine.entails(no_loop, query).is_no
+
+    def test_answer_relation_is_reserved(self):
+        x = Variable("x")
+        with pytest.raises(RewritingError):
+            RewriteEngine([TGD((Atom("S", (x,)),), (Atom(ANSWER, (x,)),))])
+        engine = RewriteEngine([tgd("S(x) -> T(x)")])
+        with pytest.raises(RewritingError):
+            engine.entails(Instance(), boolean_cq([Atom(ANSWER, (x,))]))
+
+
 class TestSubsumptionPruning:
     def _rules(self):
         return [

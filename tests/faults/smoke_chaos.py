@@ -24,7 +24,7 @@ from repro.io import schema_to_dict  # noqa: E402
 from repro.server import DecideServer, SessionPool  # noqa: E402
 from repro.service import Session  # noqa: E402
 from repro.workloads import (  # noqa: E402
-    lookup_chain_workload,
+    lookup_fanout_workload,
     university_schema,
 )
 
@@ -44,7 +44,7 @@ async def main() -> int:
         q: Session(university_schema(ud_bound=100)).decide(q).decision
         for q in QUERIES
     }
-    slow_workload = lookup_chain_workload(6)
+    slow_workload = lookup_fanout_workload(7)
     slow_request = {
         "schema": schema_to_dict(slow_workload.schema),
         "query": repr(slow_workload.query),

@@ -15,15 +15,15 @@ import sys
 import time
 
 from repro.io import schema_to_dict
-from repro.workloads import lookup_chain_workload
+from repro.workloads import lookup_fanout_workload
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
-def start_server(tmp_path, depth, *extra_args):
+def start_server(tmp_path, lookups, *extra_args):
     """Spawn ``python -m repro serve`` on an ephemeral port; returns
     (process, host, port) once the banner confirms it is listening."""
-    workload = lookup_chain_workload(depth)
+    workload = lookup_fanout_workload(lookups)
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(json.dumps(schema_to_dict(workload.schema)))
     env = dict(os.environ)
@@ -69,10 +69,10 @@ def terminate(process):
 
 class TestSigtermDrain:
     def test_in_flight_request_finishes_and_exit_is_clean(self, tmp_path):
-        # lookup_chain(5) decides in ~0.3s: SIGTERM lands mid-decision,
+        # lookup_fanout(6) decides in ~1s: SIGTERM lands mid-decision,
         # the generous drain budget lets it finish naturally.
         process, workload, host, port = start_server(
-            tmp_path, 5, "--drain-timeout", "30"
+            tmp_path, 6, "--drain-timeout", "30"
         )
         try:
             with socket.create_connection((host, port), timeout=30) as conn:
@@ -96,10 +96,10 @@ class TestSigtermDrain:
     def test_slow_request_is_deadline_cancelled_within_drain_timeout(
         self, tmp_path
     ):
-        # lookup_chain(6) runs for seconds; a 1s drain budget cancels
+        # lookup_fanout(7) runs for seconds; a 1s drain budget cancels
         # it halfway through and the client still gets a final frame.
         process, workload, host, port = start_server(
-            tmp_path, 6, "--drain-timeout", "1"
+            tmp_path, 7, "--drain-timeout", "1"
         )
         try:
             with socket.create_connection((host, port), timeout=30) as conn:

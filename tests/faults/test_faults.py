@@ -17,7 +17,7 @@ from repro.io import schema_to_dict
 from repro.runtime import Budget, DeadlineExceeded
 from repro.server import DecideServer, SessionLimits, SessionPool
 from repro.service import Session
-from repro.workloads import lookup_chain_workload, university_schema
+from repro.workloads import lookup_fanout_workload, university_schema
 
 from .chaos import run_chaos, verify
 
@@ -37,7 +37,7 @@ def oracle_decisions():
 def slow_request():
     """A request frame whose decision takes ~seconds uncapped: the
     deadline-expiry fault aborts it mid-flight."""
-    workload = lookup_chain_workload(6)
+    workload = lookup_fanout_workload(7)
     return {
         "schema": schema_to_dict(workload.schema),
         "query": repr(workload.query),
@@ -138,8 +138,8 @@ class TestDeadlines:
                 await server.close()
 
         settled = run(scenario())
-        fresh = Session(lookup_chain_workload(6).schema).decide(
-            lookup_chain_workload(6).query
+        fresh = Session(lookup_fanout_workload(7).schema).decide(
+            lookup_fanout_workload(7).query
         )
         assert settled["decision"] == fresh.decision
         assert settled["cached"] is False  # aborts were never cached
@@ -147,7 +147,7 @@ class TestDeadlines:
     def test_pool_deadline_caps_the_request_deadline(self):
         limits = SessionLimits(deadline_ms=5.0)
         pool = SessionPool(
-            lookup_chain_workload(6).schema, limits=limits
+            lookup_fanout_workload(7).schema, limits=limits
         )
         from repro.io import DecideRequest
 
@@ -159,7 +159,7 @@ class TestDeadlines:
         assert budget.deadline_ms == 5.0
         try:
             pool.process(
-                DecideRequest(query=repr(lookup_chain_workload(6).query))
+                DecideRequest(query=repr(lookup_fanout_workload(7).query))
             )
             raise AssertionError("expected DeadlineExceeded")
         except DeadlineExceeded as error:

@@ -24,10 +24,10 @@ import pytest
 from repro.io import schema_to_dict
 from repro.server import DecideServer, FleetDispatcher, SessionPool
 from repro.server import fleet as fleet_module
-from repro.server.lines import MAX_FRAME_BYTES, SETTLE_S
+from repro.server.lines import MAX_FRAME_BYTES, READ_CHUNK_BYTES, SETTLE_S
 from repro.workloads import (
     id_chain_workload,
-    lookup_chain_workload,
+    lookup_fanout_workload,
     university_schema,
 )
 
@@ -706,7 +706,7 @@ FRONT_ENDS = pytest.mark.parametrize("kind", ["server", "fleet"])
 
 def slow_request() -> dict:
     """A frame whose decision takes seconds uncapped."""
-    workload = lookup_chain_workload(6)
+    workload = lookup_fanout_workload(7)
     return {
         "schema": schema_to_dict(workload.schema),
         "query": repr(workload.query),
@@ -904,6 +904,38 @@ class TestFraming:
         assert replies[1]["cached"] is False and replies[3]["cached"] is True
         assert "error" in replies[2]
         assert replies[4]["answerable"] is True
+
+    @FRONT_ENDS
+    def test_frames_and_replies_span_several_read_buffers(self, kind):
+        # Connections read into one fixed buffer: a request line, and
+        # (through the fleet) the worker's reply line echoing its id,
+        # must be reassembled across several reads.
+        ident = "x" * (3 * READ_CHUNK_BYTES + 17)
+        frames = [{"query": UNIVERSITY_QUERY, "id": ident}] * 2
+
+        async def scenario():
+            end = await FrontEnd(kind).start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    *end.address, limit=MAX_FRAME_BYTES
+                )
+                writer.write(
+                    b"".join(json.dumps(f).encode() + b"\n" for f in frames)
+                )
+                await writer.drain()
+                replies = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 30))
+                    for __ in frames
+                ]
+                writer.close()
+                return replies
+            finally:
+                await end.close(drain_timeout=5)
+
+        first, second = run(scenario())
+        assert first["id"] == second["id"] == ident
+        assert first["decision"] == second["decision"] == "yes"
+        assert second["cached"] is True
 
     @FRONT_ENDS
     def test_half_closed_connection_gets_every_reply(self, kind):

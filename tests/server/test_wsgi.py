@@ -210,16 +210,16 @@ class TestRetryableErrors:
 
     def test_deadline_exceeded_is_503_with_retry_after(self):
         from repro.server import SessionLimits
-        from repro.workloads import lookup_chain_workload
+        from repro.workloads import lookup_fanout_workload
 
         pool = SessionPool(
-            lookup_chain_workload(6).schema,
+            lookup_fanout_workload(7).schema,
             limits=SessionLimits(deadline_ms=5.0),
         )
         application = make_wsgi_app(pool)
         status, headers, payload = call_with_headers(
             application,
-            {"query": repr(lookup_chain_workload(6).query), "id": 7},
+            {"query": repr(lookup_fanout_workload(7).query), "id": 7},
         )
         assert status == "503 Service Unavailable"
         assert headers["Retry-After"] == "1"  # floor when no hint

@@ -9,6 +9,7 @@ from repro.workloads import (
     fd_determinacy_workload,
     id_width_workload,
     lookup_chain_workload,
+    lookup_fanout_workload,
     random_id_workload,
     tgd_transfer_workload,
     uid_fd_workload,
@@ -51,6 +52,26 @@ class TestStructure:
         assert repr(a.schema) == repr(b.schema)
         assert repr(a.query) == repr(b.query)
 
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_random_query_atoms_fit_their_relations(self, arity):
+        for seed in range(40):
+            workload = random_id_workload(seed, arity=arity)
+            arities = workload.schema.arities()
+            for a in workload.query.atoms:
+                assert a.arity == arities[a.relation] == arity, (
+                    seed, workload.query
+                )
+
+    def test_random_binary_output_is_pinned(self):
+        # Seeded corpora are built from the arity-2 output: it must not
+        # drift when the other arities change.
+        assert repr(random_id_workload(3).query) == (
+            "Qrand3() :- N3(x0, x1), N2(x1, x2)"
+        )
+        assert repr(random_id_workload(11).query) == (
+            "Qrand11() :- N1(x0, x1), N4(x1, x2)"
+        )
+
     def test_directory_instance(self):
         inst = directory_instance(5, lookups=2)
         assert len(inst.facts_of("Dir")) == 5
@@ -65,6 +86,8 @@ class TestStructure:
         lookup_chain_workload(1, dump_bound=5),
         lookup_chain_workload(3, dump_bound=None),
         lookup_chain_workload(3, dump_bound=5),
+        lookup_fanout_workload(1),
+        lookup_fanout_workload(3),
         id_width_workload(1),
         id_width_workload(2),
         id_width_workload(2, bounded=False),
