@@ -13,7 +13,14 @@ model (§2).  It offers a fluent builder API::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from ..constraints.analysis import (
     ClassifiedConstraints,
@@ -40,6 +47,27 @@ class SchemaError(ValueError):
 class QuerySchemaError(ValueError):
     """A query atom names a relation the schema lacks, or has the
     wrong arity for it."""
+
+
+def check_query_fits(
+    query: "ConjunctiveQuery", arities: Mapping[str, int]
+) -> None:
+    """Raise `QuerySchemaError` unless every atom of ``query`` names a
+    relation of ``arities`` (relation name -> arity) and has its arity:
+    the one fit check, whether the arities come from a `Schema` or from
+    a validated description's ``relations`` section."""
+    for a in query.atoms:
+        arity = arities.get(a.relation)
+        if arity is None:
+            raise QuerySchemaError(
+                f"query atom {a} names relation {a.relation!r}, "
+                "which the schema does not declare"
+            )
+        if arity != a.arity:
+            raise QuerySchemaError(
+                f"query atom {a} has {a.arity} terms, but relation "
+                f"{a.relation!r} has arity {arity}"
+            )
 
 
 class Schema:
@@ -175,18 +203,7 @@ class Schema:
     def check_query(self, query: "ConjunctiveQuery") -> None:
         """Raise `QuerySchemaError` unless every atom of ``query`` names
         a declared relation and has its arity."""
-        for a in query.atoms:
-            relation = self._relations.get(a.relation)
-            if relation is None:
-                raise QuerySchemaError(
-                    f"query atom {a} names relation {a.relation!r}, "
-                    "which the schema does not declare"
-                )
-            if relation.arity != a.arity:
-                raise QuerySchemaError(
-                    f"query atom {a} has {a.arity} terms, but relation "
-                    f"{a.relation!r} has arity {relation.arity}"
-                )
+        check_query_fits(query, self.arities())
 
     def relation_names(self) -> tuple[str, ...]:
         return tuple(self._relations)

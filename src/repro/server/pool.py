@@ -14,6 +14,18 @@ its `CompiledSchema`, so one schema's decisions share one cache.  Cold
 fingerprints are evicted LRU once `max_fingerprints` distinct schemas
 have been seen (the default schema, when configured, is pinned).
 
+Eviction drops a fingerprint's entry, not its spellings: the spelling
+map has its own LRU cap (8 × `max_fingerprints`).  A remembered
+spelling whose fingerprint was evicted is *recalled*
+(``fingerprints_recalled``, not ``schemas_compiled``): its new entry's
+`CompiledSchema` carries the remembered fingerprint and parses the
+description only on first need — a decide or plan request that
+misses both the session cache and the durable store.  A returning schema
+whose answers are all stored is thus served without being parsed,
+fingerprinted or classified again; the query fit check reads the
+arities of the description's ``relations`` section, validated when
+that spelling was first parsed.
+
 `process(request)` is the transport-independent request path shared by
 the asyncio server, the WSGI adapter, and the batch CLI: route, decide
 or plan, stamp the request id.  `probe(request)` is its cache-only
@@ -42,7 +54,6 @@ from ..io import (
     DecideResponse,
     PlanResponse,
     json_safe,
-    schema_from_dict,
     schema_to_dict,
 )
 from ..obs.timing import stage
@@ -143,16 +154,15 @@ class SessionPool:
         self._lock = threading.RLock()
         #: fingerprint -> entry, in LRU order (hot end last).
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
-        #: serialized inline description -> fingerprint.  Bounded two
-        #: ways: evicting a fingerprint drops its spellings, and the
-        #: map itself is LRU-capped (`_max_text_keys`) so a stream of
-        #: distinct spellings of one hot fingerprint cannot grow it
-        #: without bound.
+        #: serialized inline description -> fingerprint, LRU-capped at
+        #: `_max_text_keys`; entries outlive their fingerprint's
+        #: eviction, so a returning spelling is recalled.
         self._text_keys: OrderedDict[str, str] = OrderedDict()
         self._max_text_keys = 8 * max_fingerprints
         self._counters = {
             "requests": 0,
             "schemas_compiled": 0,
+            "fingerprints_recalled": 0,
             "sessions_created": 0,
             "text_key_hits": 0,
             "fingerprint_hits": 0,
@@ -179,7 +189,7 @@ class SessionPool:
     def _build(schema: Union[dict, Schema, CompiledSchema]) -> CompiledSchema:
         """Counter-free compilation (`_compile` adds the accounting)."""
         if isinstance(schema, dict):
-            schema = schema_from_dict(schema)
+            return CompiledSchema.from_description(schema)
         return as_compiled(schema)
 
     def _record_warm(self, compiled: CompiledSchema) -> None:
@@ -255,16 +265,28 @@ class SessionPool:
             if entry is not None:
                 self._counters["text_key_hits"] += 1
                 return entry
+            fingerprint = self._text_keys.get(text_key)
+            if fingerprint is not None:
+                # A spelling whose fingerprint was evicted.
+                self._counters["fingerprints_recalled"] += 1
+                return self._admit(
+                    CompiledSchema.from_description(schema, fingerprint)
+                )
         compiled = self._compile(schema)
+        if text_key is not None:
+            self._remember_text_key(text_key, compiled.fingerprint)
         if (
             self._default is not None
             and compiled.fingerprint == self._default.compiled.fingerprint
         ):
-            # An inline spelling of the pinned default schema: remember
-            # the spelling so the next occurrence skips recompilation.
-            if text_key is not None:
-                self._remember_text_key(text_key, compiled.fingerprint)
+            # An inline spelling of the pinned default schema; the
+            # remembered spelling skips recompilation next time.
             return self._default
+        return self._admit(compiled)
+
+    def _admit(self, compiled: CompiledSchema) -> _Entry:
+        """The entry for ``compiled``'s fingerprint, made hot; creates
+        it (evicting the coldest past `max_fingerprints`) if absent."""
         entry = self._entries.get(compiled.fingerprint)
         if entry is None:
             entry = self._new_entry(compiled)
@@ -272,17 +294,11 @@ class SessionPool:
         else:
             self._counters["fingerprint_hits"] += 1
         self._entries.move_to_end(compiled.fingerprint)
-        if text_key is not None:
-            self._remember_text_key(text_key, compiled.fingerprint)
         while len(self._entries) > self.max_fingerprints:
-            evicted_fingerprint, __ = self._entries.popitem(last=False)
+            # The evicted fingerprint's spellings stay in `_text_keys`:
+            # a returning spelling is recalled, not recompiled.
+            self._entries.popitem(last=False)
             self._counters["evictions"] += 1
-            for text in [
-                text
-                for text, fp in self._text_keys.items()
-                if fp == evicted_fingerprint
-            ]:
-                del self._text_keys[text]
         return entry
 
     def session(

@@ -24,14 +24,15 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from ..constraints.analysis import ClassifiedConstraints, ConstraintClass
 from ..constraints.fd import FunctionalDependency
 from ..constraints.tgd import TGD
 from ..obs.timing import stage
-from ..schema.schema import Schema
-from ..io import schema_to_dict
+from ..io import schema_from_dict, schema_to_dict
+from ..schema.access import AccessMethod
+from ..schema.schema import Schema, check_query_fits
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..answerability.linearization import LinearizedSystem
@@ -63,25 +64,80 @@ def schema_fingerprint(schema: Schema) -> str:
 class CompiledSchema:
     """An immutable schema plus its frozen per-schema analysis outputs.
 
-    Build one with `compile_schema`; every decider accepts it in place
-    of a raw `Schema`.  Artifacts are computed on first use and frozen;
-    `stats` counts how often each was built (at most once).
+    Build one with `compile_schema` (or `from_description` for an
+    inline JSON description); every decider accepts it in place of a
+    raw `Schema`.  Only the content ``fingerprint`` and the relation
+    arities the query fit check reads are computed up front.  Every
+    other artifact — the constraint classification and the
+    result-bounded methods included — is computed on first use and
+    frozen; `stats` counts how often each was built (at most once).
+
+    A *recalled* schema (`from_description` with the ``fingerprint`` a
+    parse of the same spelling produced before) does not even parse
+    its description up front: the parse is the ``schema`` artifact,
+    built on first need — a decision-cache miss, a plan, `schema` or
+    `repr` — so answering from the decision caches never parses it.
     """
 
     def __init__(self, schema: Schema) -> None:
         # Private copy: later mutation of the caller's Schema must not
         # invalidate the fingerprint or the frozen artifacts.
-        self._schema = schema.copy()
-        self.fingerprint = schema_fingerprint(self._schema)
-        self.classified: ClassifiedConstraints = (
-            self._schema.classified_constraints()
+        self._start(schema.copy())
+
+    @classmethod
+    def from_description(
+        cls, description: dict, fingerprint: Optional[str] = None
+    ) -> "CompiledSchema":
+        """Compile an inline JSON description (`repro.io` format).
+
+        The parse belongs to the compiled schema alone, so it is not
+        copied.  ``fingerprint``, when given, must be the fingerprint
+        an earlier parse of this exact spelling produced (the
+        description's ``relations`` section was validated by that
+        parse): the description is then parsed only on first need.
+        The caller must not mutate ``description`` afterwards.
+        """
+        if fingerprint is None:
+            return cls._owned(schema_from_dict(description))
+        compiled = cls.__new__(cls)
+        compiled._start(
+            None, fingerprint=fingerprint, description=description
         )
-        self.constraint_class: ConstraintClass = self.classified.fragment
-        self.result_bounded_methods = self._schema.result_bounded_methods()
-        self.has_result_bounds = bool(self.result_bounded_methods)
+        return compiled
+
+    @classmethod
+    def _owned(cls, schema: Schema) -> "CompiledSchema":
+        """Compile a schema nobody else holds, without copying it."""
+        compiled = cls.__new__(cls)
+        compiled._start(schema)
+        return compiled
+
+    def _start(
+        self,
+        schema: Optional[Schema],
+        fingerprint: Optional[str] = None,
+        description: Optional[dict] = None,
+    ) -> None:
+        """Take ownership of ``schema``, or (recalled) of a fingerprint
+        and the description to parse on first need."""
         self.stats: dict[str, int] = {}
         self._artifacts: dict[str, Any] = {}
         self._lock = threading.RLock()
+        self._description = description
+        if schema is None:
+            self.fingerprint: str = fingerprint
+            self._arities: dict[str, int] = dict(description["relations"])
+        else:
+            self._artifacts["schema"] = schema
+            self.fingerprint = schema_fingerprint(schema)
+            self._arities = schema.arities()
+
+    @property
+    def _schema(self) -> Schema:
+        """The compiled schema itself (parsed on first use if recalled)."""
+        return self._artifact(
+            "schema", lambda: schema_from_dict(self._description)
+        )
 
     @property
     def schema(self) -> Schema:
@@ -89,10 +145,33 @@ class CompiledSchema:
         fingerprint or the frozen artifacts)."""
         return self._schema.copy()
 
+    @property
+    def classified(self) -> ClassifiedConstraints:
+        """The Table 1 classification of the constraints."""
+        return self._artifact(
+            "classified", lambda: self._schema.classified_constraints()
+        )
+
+    @property
+    def constraint_class(self) -> ConstraintClass:
+        return self.classified.fragment
+
+    @property
+    def result_bounded_methods(self) -> tuple[AccessMethod, ...]:
+        return self._artifact(
+            "result-bounded-methods",
+            lambda: self._schema.result_bounded_methods(),
+        )
+
+    @property
+    def has_result_bounds(self) -> bool:
+        return bool(self.result_bounded_methods)
+
     def check_query(self, query: "ConjunctiveQuery") -> None:
         """Raise `QuerySchemaError` unless the query fits the schema
-        (the one check every decider and `Session` runs)."""
-        self._schema.check_query(query)
+        (the one check every decider and `Session` runs; it reads the
+        relation arities only, so it never parses a recalled schema)."""
+        check_query_fits(query, self._arities)
 
     # ------------------------------------------------------------------
     def _artifact(self, key: str, build: Callable[[], Any]) -> Any:
@@ -232,7 +311,9 @@ class CompiledSchema:
 
         return self._artifact(
             "finite-closure",
-            lambda: CompiledSchema(schema_with_finite_closure(self._schema)),
+            lambda: CompiledSchema._owned(
+                schema_with_finite_closure(self._schema)
+            ),
         )
 
     # ------------------------------------------------------------------

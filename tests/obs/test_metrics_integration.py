@@ -249,6 +249,7 @@ class TestWsgiMetrics:
         assert names["repro_http_request_ms_bucket"] >= 2
         # provider leaves (the legacy pool counters) ride along
         assert "repro_pool_counters_requests 1" in text
+        assert "repro_pool_counters_fingerprints_recalled 0" in text
 
     def test_second_decide_increments_the_scrape(self):
         app = make_wsgi_app(SessionPool(university_schema(ud_bound=100)))

@@ -1,11 +1,23 @@
 """Unit tests for the per-fingerprint `SessionPool`."""
 
+import threading
+
 import pytest
 
-from repro.io import DecideRequest, schema_from_dict
+from repro.cache import ArtifactStore, MemoryKVStore
+from repro.io import DecideRequest, schema_from_dict, schema_to_dict
+from repro.logic.terms import Constant
 from repro.server import SessionLimits, SessionPool
-from repro.service import QuerySchemaError, compile_schema
-from repro.workloads import lookup_chain_workload, university_schema
+from repro.service import QuerySchemaError, Session, compile_schema
+from repro.workloads import (
+    fd_determinacy_workload,
+    id_chain_workload,
+    id_width_workload,
+    lookup_chain_workload,
+    tgd_transfer_workload,
+    uid_fd_workload,
+    university_schema,
+)
 
 UNIVERSITY = {
     "relations": {"Prof": 3, "Udirectory": 3},
@@ -149,12 +161,15 @@ class TestEviction:
         fingerprints = pool.fingerprints()
         assert len(fingerprints) == 2
         assert pool.stats()["counters"]["evictions"] == 1
-        # b returns: recompiled (its text key was dropped with it).
-        compiled_before = pool.stats()["counters"]["schemas_compiled"]
+        # b returns: recalled through its remembered spelling, not
+        # recompiled.
+        before = pool.stats()["counters"]
         pool.session(b)
+        after = pool.stats()["counters"]
+        assert after["schemas_compiled"] == before["schemas_compiled"]
         assert (
-            pool.stats()["counters"]["schemas_compiled"]
-            == compiled_before + 1
+            after["fingerprints_recalled"]
+            == before["fingerprints_recalled"] + 1
         )
 
     def test_default_is_never_evicted(self):
@@ -391,3 +406,148 @@ class TestQueryValidation:
             pool.process(
                 DecideRequest(query=query, op=op, schema=UNIVERSITY)
             )
+
+    @pytest.mark.parametrize("op", ["decide", "plan"])
+    @pytest.mark.parametrize(
+        "query", ["Udirectory(i, a)", "Prof(i, n)", "Nope(x)"]
+    )
+    def test_misfit_query_raises_on_a_recalled_schema_before_any_cache(
+        self, op, query
+    ):
+        store = ArtifactStore(MemoryKVStore())
+        pool = SessionPool(max_fingerprints=1, store=store)
+        pool.warm(UNIVERSITY)
+        pool.warm(schema_dict())  # evicts UNIVERSITY
+        tiers = store.stats()["tiers"]
+        with pytest.raises(QuerySchemaError):
+            pool.process(
+                DecideRequest(query=query, op=op, schema=UNIVERSITY)
+            )
+        assert pool.stats()["counters"]["fingerprints_recalled"] == 1
+        [entry] = pool._entries.values()
+        assert entry.session.cache_info()["misses"] == 0
+        assert store.stats()["tiers"] == tiers
+        assert "schema" not in entry.compiled.stats
+
+
+def query_text(query) -> str:
+    """The parser's text form of a Boolean CQ (constants quoted)."""
+
+    def term(value) -> str:
+        if not isinstance(value, Constant):
+            return value.name
+        if isinstance(value.value, str):
+            return f"'{value.value}'"
+        return str(value.value)
+
+    return ", ".join(
+        f"{atom.relation}({', '.join(term(t) for t in atom.terms)})"
+        for atom in query.atoms
+    )
+
+
+#: A few schemas of every generator family the Table 1 routes cover.
+RECALL_WORKLOADS = [
+    fd_determinacy_workload(1),
+    fd_determinacy_workload(3, bound=2, ask_undetermined=True),
+    fd_determinacy_workload(5, bound=4),
+    uid_fd_workload(1),
+    uid_fd_workload(3, with_fd=False, bound=2),
+    uid_fd_workload(4, bound=3),
+    lookup_chain_workload(1),
+    lookup_chain_workload(3, dump_bound=2, query_length=2),
+    lookup_chain_workload(4, query_length=4),
+    id_chain_workload(1),
+    id_chain_workload(4, query_index=2),
+    id_chain_workload(8, query_index=5),
+    id_width_workload(1),
+    id_width_workload(2, bounded=False),
+    id_width_workload(3),
+    tgd_transfer_workload(1),
+    tgd_transfer_workload(3),
+]
+
+
+def recalled(pool: SessionPool, description: dict) -> Session:
+    """Route ``description`` once, evict it, and route it again: the
+    session of its recalled entry."""
+    pool.warm(description)
+    pool.warm(schema_dict(arity=7))  # evicts ``description``
+    recalled_before = pool.stats()["counters"]["fingerprints_recalled"]
+    session = pool.session(description)
+    counters = pool.stats()["counters"]
+    assert counters["fingerprints_recalled"] == recalled_before + 1
+    return session
+
+
+class TestRecall:
+    """A spelling outlives its fingerprint's eviction: the returning
+    schema is recalled, and parsed only when a decision misses."""
+
+    @pytest.mark.parametrize(
+        "workload", RECALL_WORKLOADS, ids=lambda w: w.name
+    )
+    def test_recalled_decision_equals_a_freshly_compiled_session(
+        self, workload
+    ):
+        description = schema_to_dict(workload.schema)
+        pool = SessionPool(
+            max_fingerprints=1, store=ArtifactStore(MemoryKVStore())
+        )
+        session = recalled(pool, description)
+        assert "schema" not in session.compiled.stats
+        text = query_text(workload.query)
+        got = pool.process(DecideRequest(query=text, schema=description))
+        want = Session(compile_schema(workload.schema)).decide(text)
+        assert session.compiled.stats["schema"] == 1
+        got, want = got.to_dict(), want.to_dict()
+        got.pop("elapsed_ms")
+        want.pop("elapsed_ms")
+        assert got == want
+        assert got["decision"] == (
+            "yes" if workload.expected_answerable else "no"
+        )
+        assert pool.stats()["counters"]["schemas_compiled"] == 2
+
+    def test_a_durable_hit_never_parses_the_recalled_schema(self):
+        description = schema_to_dict(university_schema(ud_bound=100))
+        pool = SessionPool(
+            max_fingerprints=1, store=ArtifactStore(MemoryKVStore())
+        )
+        request = DecideRequest(
+            query="Udirectory(i, a, p)", schema=description
+        )
+        assert pool.process(request).is_yes
+        session = recalled(pool, description)
+        again = pool.process(request)
+        assert again.is_yes and again.cached
+        assert session.durable_hits == 1
+        assert session.compiled.stats == {}
+
+    def test_concurrent_misses_parse_a_recalled_schema_once(self):
+        workload = lookup_chain_workload(4, query_length=1)
+        description = schema_to_dict(workload.schema)
+        session = recalled(SessionPool(max_fingerprints=1), description)
+        start = threading.Barrier(8)
+        answers = []
+
+        def decide(index: int) -> None:
+            start.wait()
+            answers.append(session.decide(f"L{index % 4}(x, y)").decision)
+
+        threads = [
+            threading.Thread(target=decide, args=(index,))
+            for index in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert answers == ["yes"] * 8
+        assert session.compiled.stats["schema"] == 1
+
+    def test_spelling_map_stays_capped_while_it_outlives_evictions(self):
+        pool = SessionPool(max_fingerprints=2)
+        for arity in range(1, 10 * pool._max_text_keys + 1):
+            pool.session(schema_dict(arity))
+            assert len(pool._text_keys) <= pool._max_text_keys
