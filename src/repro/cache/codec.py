@@ -22,8 +22,10 @@ import hashlib
 import json
 from typing import Any, Optional
 
-#: Bump on any change to the envelope layout or a payload wire form.
-FORMAT_VERSION = 1
+#: Bump on any change to the envelope layout or a payload wire form,
+#: or when stored answers can be wrong (2: the ID route no longer
+#: unifies two existential head variables, so older YES rows are void).
+FORMAT_VERSION = 2
 
 
 def _library_version() -> str:

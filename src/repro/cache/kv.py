@@ -109,7 +109,7 @@ class SQLiteKVStore(KVStore):
         self.operational_errors = 0
         self._error_logged = False
         try:
-            self._conn = self._open()
+            self._conn = self._open_when_unlocked()
         except (sqlite3.Error, OSError):
             # A corrupt or non-database file: sideline it and start
             # fresh — cache entries are recomputable by construction,
@@ -126,6 +126,21 @@ class SQLiteKVStore(KVStore):
                     "corrupt cache store sidelined to %s; starting cold",
                     sidelined,
                 )
+
+    def _open_when_unlocked(self) -> sqlite3.Connection:
+        """`_open`, retried for up to `BUSY_TIMEOUT_S` while another
+        process holds the lock.  Workers that open one new file at once
+        race to switch it to WAL, and the loser gets "database is
+        locked" at once, without the busy timeout; taking that for
+        corruption sidelined the winner's file under it."""
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
+        while True:
+            try:
+                return self._open()
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
 
     def _open(self) -> sqlite3.Connection:
         self.path.parent.mkdir(parents=True, exist_ok=True)

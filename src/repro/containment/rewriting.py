@@ -512,8 +512,13 @@ class RewriteEngine:
         local_id = {var: lid for lid, var in variables.items()}
         classes = unifier.classes()
         for members in classes.values():
-            if not any(m in existentials for m in members):
+            witnesses = sum(1 for m in members if m in existentials)
+            if not witnesses:
                 continue
+            if witnesses > 1:
+                # Two existential variables get two distinct fresh
+                # nulls; no query term can be both.
+                return None
             # This class witnesses an existential position of the head.
             # Every query term in it must be a variable occurring nowhere
             # else, and only at existential positions of the head.

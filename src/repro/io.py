@@ -110,6 +110,23 @@ def schema_from_dict(description: dict[str, Any]) -> Schema:
         raise SchemaFormatError(f"malformed schema: {error}") from error
 
 
+#: The keys a schema description, and each of its method entries, may
+#: carry (`schema_to_dict` writes no others).  Anything else is a typo
+#: that would otherwise drop a bound or every constraint silently.
+_SCHEMA_KEYS = frozenset(("relations", "attributes", "methods", "constraints"))
+_METHOD_KEYS = frozenset(
+    ("name", "relation", "inputs", "result_bound", "result_lower_bound")
+)
+
+
+def _reject_unknown_keys(entry: dict, known: frozenset, where: str) -> None:
+    unknown = sorted(key for key in entry if key not in known)
+    if unknown:
+        raise SchemaFormatError(
+            f"unknown key {', '.join(map(repr, unknown))} in {where}"
+        )
+
+
 def _build_schema(description: dict[str, Any]) -> Schema:
     from .schema.schema import Schema
 
@@ -118,6 +135,7 @@ def _build_schema(description: dict[str, Any]) -> Schema:
             "a schema must be a JSON object, got "
             f"{type(description).__name__}"
         )
+    _reject_unknown_keys(description, _SCHEMA_KEYS, "schema")
     if "relations" not in description:
         raise SchemaFormatError("missing 'relations' section")
     if not isinstance(description["relations"], dict):
@@ -132,6 +150,10 @@ def _build_schema(description: dict[str, Any]) -> Schema:
             raise SchemaFormatError(f"bad arity for relation {name}")
         schema.add_relation(name, arity, attributes.get(name))
     for method in description.get("methods", []):
+        if isinstance(method, dict):
+            _reject_unknown_keys(
+                method, _METHOD_KEYS, f"method {method.get('name')!r}"
+            )
         try:
             name = method["name"]
             relation = method["relation"]

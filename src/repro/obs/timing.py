@@ -1,7 +1,8 @@
-"""Per-request stage timing: queue/compile/rewrite/chase/match/persist.
+"""Per-request stage timing: parse/queue/compile/rewrite/chase/match/persist.
 
 A `StageTimer` accumulates *exclusive* self-time per named stage: the
-instrumented choke points (`SessionPool._build` → ``compile``,
+instrumented choke points (`Session.lookup`'s query parse, fit check
+and canonical key → ``parse``, `SessionPool._build` → ``compile``,
 `RewriteEngine.rewrite` → ``rewrite``, the chase entry → ``chase``,
 the containment deciders → ``match``, the durable tier → ``persist``)
 wrap themselves in ``stage("name")``; entering a nested stage pauses
@@ -11,7 +12,8 @@ that runs an inner chase attributes the chase rounds to ``chase`` and
 only the decision shell to ``match``).
 
 The active timer rides a thread-local.  Transports `activate` one
-around the request body on the worker thread; with no active timer,
+around each piece of the request body (the TCP server: the lookup on
+its event loop, the rest on a decision thread); with no active timer,
 ``stage(...)`` is a two-attribute-lookup no-op, which is what keeps
 always-on instrumentation inside the latency budget — instrumented
 library code pays nothing unless a transport asked for timings.
@@ -33,7 +35,9 @@ __all__ = [
 ]
 
 #: The stage-timing glossary (README "Operations" documents each).
-STAGES = ("queue", "compile", "rewrite", "chase", "match", "persist")
+STAGES = (
+    "parse", "queue", "compile", "rewrite", "chase", "match", "persist"
+)
 
 _active = threading.local()
 

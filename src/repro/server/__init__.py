@@ -8,7 +8,7 @@ The layer that turns the service seam into a server:
   eviction of cold fingerprints, aggregated `stats()` with per-shard
   heat, and `warm()` for manifest-driven precompilation;
 * `DecideServer` / `run_server` — the asyncio JSON-lines TCP front end:
-  cached decisions answered on the event loop (`SessionPool.probe`),
+  cached decisions answered on the event loop (`SessionPool.lookup`),
   the rest on a fixed set of decision threads, backpressure via a
   bounded in-flight gate (optionally shedding `Overloaded` frames),
   per-request deadlines with cooperative cancellation, per-client

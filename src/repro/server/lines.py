@@ -88,7 +88,7 @@ Parsed = tuple[DecideRequest, Optional[str]]
 def text_key_of(schema: object) -> Optional[str]:
     """The serialized spelling an inline (dict) schema routes by; None
     for anything else.  Transports compute it once per frame and pass
-    it along (`SessionPool.probe`, `SessionPool.process`)."""
+    it along (`SessionPool.lookup`, `SessionPool.process`)."""
     if isinstance(schema, dict):
         return json.dumps(schema, sort_keys=True)
     return None

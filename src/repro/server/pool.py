@@ -28,12 +28,15 @@ that spelling was first parsed.
 
 `process(request)` is the transport-independent request path shared by
 the asyncio server, the WSGI adapter, and the batch CLI: route, decide
-or plan, stamp the request id.  `probe(request)` is its cache-only
-twin for the TCP server's event loop: it answers a request whose exact
-(schema spelling, query text) pair a live session has already answered,
-without parsing, compiling, or ever blocking on the pool lock, and
-returns None otherwise.  `stats()` reports each fingerprint's session
-statistics plus the pool's own routing counters.
+or plan, stamp the request id.  `lookup(request)` is its cache half for
+the TCP server's event loop: it routes a known spelling (live or
+recalled) without compiling or ever blocking on the pool lock, and runs
+`Session.lookup` — exact text, then parse and canonical key, then the
+session LRU, then the durable store.  A hit comes back served; a miss
+comes back as the `repro.service.session.Miss` that
+``process(request, miss=...)`` resolves on a decision thread, so the
+query is parsed and looked up once.  `stats()` reports each
+fingerprint's session statistics plus the pool's own routing counters.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from ..obs.timing import stage
 from ..runtime import Budget
 from ..schema.schema import Schema
 from ..service import CompiledSchema, Session, as_compiled
+from ..service.session import Miss
 from .lines import process_usage, text_key_of
 
 
@@ -228,9 +232,21 @@ class SessionPool:
         while len(self._text_keys) > self._max_text_keys:
             self._text_keys.popitem(last=False)
 
-    def _live_entry(self, text_key: str) -> Optional[_Entry]:
-        """The live entry a known spelling routes to (LRU-touched), or
-        None; counts nothing."""
+    def _known_entry(
+        self, schema: SchemaLike, text_key: Optional[str]
+    ) -> Optional[_Entry]:
+        """The entry ``schema`` routes to without a compile (the
+        default, or a live or recalled spelling ``text_key``, made
+        hot), counted as routed; None when only a compile can route
+        it."""
+        if schema is None:
+            if self._default is None:
+                raise ValueError(
+                    "request carries no schema and the pool has no default"
+                )
+            return self._default
+        if text_key is None:
+            return None
         fingerprint = self._text_keys.get(text_key)
         if fingerprint is None:
             return None
@@ -239,10 +255,17 @@ class SessionPool:
             self._default is not None
             and fingerprint == self._default.compiled.fingerprint
         ):
+            self._counters["text_key_hits"] += 1
             return self._default
         entry = self._entries.get(fingerprint)
-        if entry is not None:
-            self._entries.move_to_end(fingerprint)
+        if entry is None:
+            # A spelling whose fingerprint was evicted.
+            self._counters["fingerprints_recalled"] += 1
+            return self._admit(
+                CompiledSchema.from_description(schema, fingerprint)
+            )
+        self._entries.move_to_end(fingerprint)
+        self._counters["text_key_hits"] += 1
         return entry
 
     def _entry_for(
@@ -250,28 +273,11 @@ class SessionPool:
         schema: SchemaLike,
         text_key: Optional[str] = None,
     ) -> _Entry:
-        if schema is None:
-            if self._default is None:
-                raise ValueError(
-                    "request carries no schema and the pool has no default"
-                )
-            return self._default
-        if not isinstance(schema, dict):
-            text_key = None
-        else:
-            if text_key is None:
-                text_key = text_key_of(schema)
-            entry = self._live_entry(text_key)
-            if entry is not None:
-                self._counters["text_key_hits"] += 1
-                return entry
-            fingerprint = self._text_keys.get(text_key)
-            if fingerprint is not None:
-                # A spelling whose fingerprint was evicted.
-                self._counters["fingerprints_recalled"] += 1
-                return self._admit(
-                    CompiledSchema.from_description(schema, fingerprint)
-                )
+        if text_key is None:
+            text_key = text_key_of(schema)
+        entry = self._known_entry(schema, text_key)
+        if entry is not None:
+            return entry
         compiled = self._compile(schema)
         if text_key is not None:
             self._remember_text_key(text_key, compiled.fingerprint)
@@ -400,6 +406,7 @@ class SessionPool:
         *,
         budget: Optional[Budget] = None,
         text_key: Optional[str] = None,
+        miss: Optional[Miss] = None,
     ) -> Response:
         """Route and execute one request frame (op decide or plan).
 
@@ -410,7 +417,9 @@ class SessionPool:
         disconnect) construct the budget themselves and keep a handle.
         An exhausted budget raises `repro.runtime.DeadlineExceeded`.
         ``text_key`` is the request schema's `text_key_of`, when the
-        transport already computed it.
+        transport already computed it.  ``miss`` is what `lookup`
+        returned for this request: the request was routed and looked
+        up already, so only the answer is computed.
         """
         if request.op not in ("decide", "plan"):
             raise ValueError(
@@ -418,6 +427,8 @@ class SessionPool:
             )
         if budget is None:
             budget = self.budget_for(request)
+        if miss is not None:
+            return self._finish(request, miss.session.resolve(miss, budget))
         session = self.session(request.schema, text_key)
         if request.op == "plan":
             response: Response = session.plan(request.query, budget=budget)
@@ -427,46 +438,41 @@ class SessionPool:
             )
         return self._finish(request, response)
 
-    def probe(
+    def lookup(
         self, request: DecideRequest, text_key: Optional[str] = None
-    ) -> Optional[Response]:
-        """Answer a decide/plan request from a decision cache, or None.
+    ) -> Union[Response, Miss, None]:
+        """The cache half of `process`, safe on an event loop.
 
-        The cache-only twin of `process`, safe on an event loop: it
-        routes through the spelling map alone (never compiles), looks
-        the exact query text up in the fingerprint's session
-        (`Session.probe`: never parses), and gives up — returns
-        None — on any miss, including a pool lock some thread holds
-        (compiles run under it).  A hit is accounted exactly like the
-        same request answered by `process`: pool ``requests`` and
-        ``text_key_hits``, the entry's requests, session hits, and
-        shard heat.  Budgets are not consulted: like every cache hit,
-        a probe hit is served even past its deadline.
+        Routes without compiling (a live or recalled spelling, or the
+        default) and runs `Session.lookup`: a hit comes back finished,
+        a miss as the `Miss` for ``process(request, miss=...)``.  None
+        means only `process` can take the request: a new spelling, an
+        op other than decide/plan, no default, or a pool lock some
+        thread holds (this never waits for it).  Accounting equals
+        `process`'s either way; parse and fit errors raise as there.
+        A hit is served even past the request's deadline.
         """
         if request.op not in ("decide", "plan"):
             return None
+        if request.schema is None and self._default is None:
+            return None
+        if text_key is None:
+            text_key = text_key_of(request.schema)
         if not self._lock.acquire(blocking=False):
             return None
         try:
-            if request.schema is None:
-                entry = self._default
-            else:
-                if text_key is None:
-                    text_key = text_key_of(request.schema)
-                entry = self._live_entry(text_key)
+            entry = self._known_entry(request.schema, text_key)
             if entry is None:
                 return None
-            # `Session.plan` takes no ``finite``: plans key with False.
-            finite = request.finite and request.op == "decide"
-            response = entry.session.probe(request.op, request.query, finite)
-            if response is None:
-                return None
             self._counters["requests"] += 1
-            if request.schema is not None:
-                self._counters["text_key_hits"] += 1
             entry.requests += 1
+            # `Session.plan` passes False: plans key with False.
+            finite = request.finite and request.op == "decide"
+            found = entry.session.lookup(request.op, request.query, finite)
+            if isinstance(found, Miss):
+                return found
             # `_record_heat` re-enters the lock this thread holds.
-            return self._finish(request, response)
+            return self._finish(request, found)
         finally:
             self._lock.release()
 

@@ -8,15 +8,19 @@ response line a `DecideResponse`, `PlanResponse`, stats, pong, or
 order (responses line up with requests); concurrency comes from
 concurrent connections.
 
-The event loop only probes the decision cache, non-blocking; it never
-parses a query, compiles or decides.  A decide/plan frame whose exact
-(schema spelling, query text) pair a session has already answered is
-served right there (`SessionPool.probe`, counted as ``loop_hits``);
-every other frame is decided on one of `DECISION_THREADS` executor
-threads, so slow chases never block frame parsing, stats probes or
-cache hits (they still share the GIL).  The decision routes are
-pure-Python CPU work, so under the GIL those threads never decide in
-parallel; they time-slice, which lets a cheap miss finish beside a
+The event loop looks every decide/plan frame up in the decision caches,
+non-blocking; it never compiles or decides.  `SessionPool.lookup`
+routes a schema spelling the pool knows (live, or recalled after
+eviction without parsing it) and runs `Session.lookup`: the exact query
+text, then the query parse and canonical key, then the session LRU,
+then the durable store.  A hit is served right there (counted as
+``loop_hits``).  A miss goes to one of `DECISION_THREADS` executor
+threads with its parsed state, so it is parsed and looked up once; a
+spelling no session has seen goes there whole, so its compile stays
+off the loop.  Slow chases thus never block frame parsing, stats
+probes or cache hits (they still share the GIL).  The decision routes
+are pure-Python CPU work, so under the GIL those threads never decide
+in parallel; they time-slice, which lets a cheap miss finish beside a
 slow one.  A miss waits behind slow ones only once every thread holds
 one.  A host scales by processes (``python -m repro fleet``), not by
 threads.
@@ -87,6 +91,7 @@ from ..obs.logs import RequestLogger
 from ..obs.registry import MetricsRegistry
 from ..obs.timing import StageTimer, activate, deactivate
 from ..runtime import Budget, DeadlineExceeded, Overloaded
+from ..service.session import Miss
 from .lines import FrameLoop, FrameMemo, Reply, encode_frame, is_error_line
 from .pool import SessionPool, introspection_frame
 
@@ -485,12 +490,24 @@ class DecideServer:
             return self._reply(
                 request, shed.to_dict(), peer, started, timer
             )
-        hit = self.pool.probe(request, text_key)
-        if hit is not None:
-            self._counters["loop_hits"] += 1
-            self._counters["responses"] += 1
-            return self._reply(request, hit.to_dict(), peer, started, timer)
-        return self._decide(request, text_key, state, peer, started, timer)
+        # The lookup's parse and durable read count toward this
+        # request's stages, like the work on a decision thread.
+        previous = activate(timer)
+        try:
+            found = self.pool.lookup(request, text_key)
+        except Exception as error:
+            self._counters["errors"] += 1
+            frame = ErrorFrame.from_exception(error, id=request.id).to_dict()
+            return self._reply(request, frame, peer, started, timer)
+        finally:
+            deactivate(previous)
+        if found is None or isinstance(found, Miss):
+            return self._decide(
+                request, text_key, found, state, peer, started, timer
+            )
+        self._counters["loop_hits"] += 1
+        self._counters["responses"] += 1
+        return self._reply(request, found.to_dict(), peer, started, timer)
 
     def _reply(
         self,
@@ -509,13 +526,15 @@ class DecideServer:
         self,
         request: DecideRequest,
         text_key: Optional[str],
+        miss: Optional[Miss],
         state: Optional[_ClientState],
         peer: str,
         started: float,
         timer: Optional[StageTimer],
     ) -> bytes:
-        """The executor path: wait at the gate, then decide on an
-        executor thread under the request's budget."""
+        """The executor path: wait at the gate, then resolve ``miss``
+        (or, when the loop could not route the request, process it
+        whole) on an executor thread under the request's budget."""
         assert self._gate is not None and self._executor is not None
         acquired = False
         if self.shed_after_ms is not None:
@@ -559,7 +578,7 @@ class DecideServer:
                 previous = activate(timer)
             try:
                 return self.pool.process(
-                    request, budget=budget, text_key=text_key
+                    request, budget=budget, text_key=text_key, miss=miss
                 )
             finally:
                 if timer is not None:

@@ -15,9 +15,12 @@ cache is consulted.  The cache key is the pair (schema
 fingerprint, canonical query form): queries that differ only in
 variable names or in the query name share an entry.  In front of it
 sits an exact-text key: each entry remembers the last few query texts
-that reached it, so a repeat of one is a dictionary lookup
-(`Session.probe`) with no parse at all.  Responses are wire-ready
-(`to_dict`) and mark cache hits with ``cached=True``.
+that reached it, so a repeat of one is a dictionary lookup with no
+parse at all.  `decide` and `plan` are `Session.lookup` (exact text,
+then parse and canonical key, then the LRU, then the durable store)
+plus `Session.resolve`, which computes what the lookup missed.
+Responses are wire-ready (`to_dict`) and mark cache hits with
+``cached=True``.
 
 Resource limits (``max_rounds``, ``max_facts``) bound the semidecidable
 chase routes, replacing the per-call keyword defaults of the free
@@ -36,7 +39,7 @@ import time
 from collections import OrderedDict
 from dataclasses import replace
 from types import MappingProxyType
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 from ..answerability.deciders import (
     DEFAULT_CHASE_FACTS,
@@ -57,6 +60,12 @@ from ..schema.schema import Schema
 from .compiled import CompiledSchema, as_compiled
 
 QueryLike = Union[str, ConjunctiveQuery]
+
+#: How the durable store's payload of each op decodes.
+_DECODERS = {
+    "decide": DecideResponse.from_dict,
+    "plan": PlanResponse.from_dict,
+}
 
 #: Exact query texts remembered per decision-cache entry (alpha
 #: variants of one query share the entry, each under its own text).
@@ -111,6 +120,23 @@ def canonical_query_key(query: ConjunctiveQuery) -> str:
     )
     free = ",".join(term_key(v) for v in query.free_variables)
     return f"{atoms}|{free}"
+
+
+class Miss(NamedTuple):
+    """A decision-cache miss as `Session.lookup` hands it on, so
+    `Session.resolve` computes the answer without parsing or looking it
+    up again: the parsed query and its repr, the LRU key ``(op,
+    canonical form, finite)``, the exact-text key (None for a query
+    object), the durable key (None without a store) and the seconds
+    the lookup took."""
+
+    session: "Session"
+    query: ConjunctiveQuery
+    shown: str
+    key: tuple
+    text: Optional[tuple]
+    durable_key: Optional[str]
+    spent: float
 
 
 class Session:
@@ -172,13 +198,6 @@ class Session:
     def fingerprint(self) -> str:
         return self.compiled.fingerprint
 
-    def _coerce(self, query: QueryLike) -> ConjunctiveQuery:
-        """The parsed query, checked against the schema's relations."""
-        if isinstance(query, str):
-            query = parse_cq(query)
-        self.compiled.check_query(query)
-        return query
-
     def _cache_get(self, key: tuple) -> Optional[Any]:
         with self._lock:
             slot = self._cache.get(key)
@@ -223,30 +242,6 @@ class Session:
                 texts = texts[1:]
             self._cache[key] = (slot[0], texts)
             self._texts[text] = (key, query)
-
-    def probe(
-        self, op: str, text: str, finite: bool = False
-    ) -> Optional[Union[DecideResponse, PlanResponse]]:
-        """The exact-text hit path: the cached response for a query
-        text this session answered before (op ``decide`` or ``plan``),
-        or None without counting a miss.
-
-        No parse, no canonical form, no durable key: one dictionary
-        lookup under the session lock.  `decide` and `plan` call it
-        first, and the TCP server calls it (through
-        `repro.server.SessionPool.probe`) on its event loop, so both
-        serve a repeated text through this one path.
-        """
-        started = time.perf_counter()
-        with self._lock:
-            memo = self._texts.get((op, text, finite))
-            if memo is None:
-                return None
-            key, query = memo
-            hit = self._cache[key][0]
-            self._cache.move_to_end(key)
-            self.hits += 1
-        return self._served(hit, query, started)
 
     @staticmethod
     def _served(hit: Any, query: str, started: float) -> Any:
@@ -322,6 +317,78 @@ class Session:
     # ------------------------------------------------------------------
     # Service verbs
     # ------------------------------------------------------------------
+    def lookup(
+        self, op: str, query: QueryLike, finite: bool = False
+    ) -> Union[DecideResponse, PlanResponse, Miss]:
+        """The one hit path of `decide` and `plan` (plans pass
+        ``finite=False``): the cached response, or the `Miss` that
+        `resolve` computes from.
+
+        In order: the exact-text key (no parse); then parse, fit check
+        (a misfit query raises `QuerySchemaError` before any cache is
+        consulted) and canonical key; then the decision LRU; then the
+        durable store, whose hit is promoted into the LRU.  Nothing
+        here compiles or decides, so the TCP server runs it on its
+        event loop (through `repro.server.SessionPool.lookup`).
+        """
+        started = time.perf_counter()
+        text = None
+        if isinstance(query, str):
+            text = (op, query, finite)
+            with self._lock:
+                memo = self._texts.get(text)
+                if memo is not None:
+                    key, shown = memo
+                    hit = self._cache[key][0]
+                    self._cache.move_to_end(key)
+                    self.hits += 1
+            if memo is not None:
+                return self._served(hit, shown, started)
+        with stage("parse"):
+            parsed = parse_cq(query) if text is not None else query
+            self.compiled.check_query(parsed)
+            shown = repr(parsed)
+            key = (op, canonical_query_key(parsed), finite)
+        hit = self._cache_get(key)
+        durable_key: Optional[str] = None
+        if hit is None and self.store is not None:
+            durable_key = self._durable_key(*key)
+            hit = self._durable_load(durable_key, _DECODERS[op])
+            if hit is not None:
+                hit = _cacheable(hit)
+                self._cache_put(key, hit)
+        if hit is not None:
+            self._link(key, text, shown)
+            return self._served(hit, shown, started)
+        return Miss(
+            self, parsed, shown, key, text, durable_key,
+            time.perf_counter() - started,
+        )
+
+    def resolve(
+        self, miss: Miss, budget: Optional[Budget] = None
+    ) -> Union[DecideResponse, PlanResponse]:
+        """Compute the answer a `lookup` missed, cache it (memory and
+        durable store) and return it.  An exhausted ``budget`` raises
+        `repro.runtime.DeadlineExceeded` and caches nothing; neither do
+        structured errors (rewriting/chase budget hits) or failed plan
+        extractions, which reflect limits, not the query."""
+        if budget is not None:
+            budget.check()
+        if miss.key[0] == "plan":
+            response, keep = self._plan_response(miss, budget)
+        else:
+            response, keep = self._decide_response(miss, budget)
+        if keep:
+            cacheable = _cacheable(response)
+            self._cache_put(miss.key, cacheable, miss.text, miss.shown)
+            if miss.durable_key is not None:
+                self._durable_put(miss.durable_key, cacheable)
+            if isinstance(response, DecideResponse):
+                # The shape a hit has, so a miss and a hit compare equal.
+                response.detail = dict(cacheable.detail)
+        return response
+
     def decide(
         self,
         query: QueryLike,
@@ -340,30 +407,18 @@ class Session:
         decision on later lookups.  Cache hits are served even when the
         budget is already exhausted (they cost microseconds).
         """
-        started = time.perf_counter()
-        text = None
-        if isinstance(query, str):
-            text = ("decide", query, finite)
-            hit = self.probe(*text)
-            if hit is not None:
-                return hit
-        parsed = self._coerce(query)
-        shown = repr(parsed)
-        key = ("decide", canonical_query_key(parsed), finite)
-        hit = self._cache_get(key)
-        durable_key: Optional[str] = None
-        if hit is None and self.store is not None:
-            durable_key = self._durable_key("decide", key[1], finite)
-            hit = self._durable_load(durable_key, DecideResponse.from_dict)
-            if hit is not None:
-                hit = _cacheable(hit)
-                self._cache_put(key, hit)
-        if hit is not None:
-            self._link(key, text, shown)
-            return self._served(hit, shown, started)
-        if budget is not None:
-            budget.check()
-        result = self._decide_result(parsed, finite=finite, budget=budget)
+        found = self.lookup("decide", query, finite)
+        if isinstance(found, Miss):
+            return self.resolve(found, budget)
+        return found
+
+    def _decide_response(
+        self, miss: Miss, budget: Optional[Budget]
+    ) -> tuple[DecideResponse, bool]:
+        started = time.perf_counter() - miss.spent
+        result = self._decide_result(
+            miss.query, finite=miss.key[2], budget=budget
+        )
         # Promote a structured error (e.g. RewritingBudgetExceeded) to
         # the top-level wire field; it leaves `detail` so the payload
         # carries it exactly once.
@@ -374,7 +429,7 @@ class Session:
         else:
             structured_error = None
         response = DecideResponse(
-            query=shown,
+            query=miss.shown,
             decision=result.truth.value,
             reason=result.decision.reason,
             route=result.route,
@@ -389,18 +444,7 @@ class Session:
             if structured_error is not None
             else None,
         )
-        if response.error is None:
-            cacheable = _cacheable(response)
-            self._cache_put(key, cacheable, text, shown)
-            if durable_key is not None:
-                self._durable_put(durable_key, cacheable)
-            # The shape a hit has, so a miss and a hit compare equal.
-            response.detail = dict(cacheable.detail)
-        # Responses carrying a structured error (rewriting/chase budget
-        # hits) are *not* cached: they reflect resource limits, not the
-        # query, and must be recomputed — and rechecked against the
-        # limits — on every request.
-        return response
+        return response, response.error is None
 
     def _decide_result(
         self,
@@ -444,32 +488,19 @@ class Session:
         self, query: QueryLike, *, budget: Optional[Budget] = None
     ) -> PlanResponse:
         """Extract a static plan (Boolean queries); cached like decide."""
-        started = time.perf_counter()
-        text = None
-        if isinstance(query, str):
-            text = ("plan", query, False)
-            hit = self.probe(*text)
-            if hit is not None:
-                return hit
-        parsed = self._coerce(query)
-        shown = repr(parsed)
-        key = ("plan", canonical_query_key(parsed))
-        hit = self._cache_get(key)
-        durable_key: Optional[str] = None
-        if hit is None and self.store is not None:
-            durable_key = self._durable_key("plan", key[1])
-            hit = self._durable_load(durable_key, PlanResponse.from_dict)
-            if hit is not None:
-                self._cache_put(key, hit)
-        if hit is not None:
-            self._link(key, text, shown)
-            return self._served(hit, shown, started)
-        if budget is not None:
-            budget.check()
+        found = self.lookup("plan", query)
+        if isinstance(found, Miss):
+            return self.resolve(found, budget)
+        return found
+
+    def _plan_response(
+        self, miss: Miss, budget: Optional[Budget]
+    ) -> tuple[PlanResponse, bool]:
+        shown = miss.shown
         try:
             plan = generate_static_plan(
                 self.compiled,
-                parsed,
+                miss.query,
                 max_rounds=self.max_rounds,
                 max_facts=self.max_facts,
                 max_disjuncts=self.max_disjuncts,
@@ -481,9 +512,9 @@ class Session:
                 answerable=False,
                 reason=str(error),
                 fingerprint=self.compiled.fingerprint,
-            )
+            ), False
         if plan is None:
-            response = PlanResponse(
+            return PlanResponse(
                 query=shown,
                 answerable=False,
                 reason=(
@@ -491,19 +522,13 @@ class Session:
                     "through a chase certificate"
                 ),
                 fingerprint=self.compiled.fingerprint,
-            )
-        else:
-            response = PlanResponse(
-                query=shown,
-                answerable=True,
-                plan=str(plan),
-                fingerprint=self.compiled.fingerprint,
-            )
-        cacheable = _cacheable(response)
-        self._cache_put(key, cacheable, text, shown)
-        if durable_key is not None:
-            self._durable_put(durable_key, cacheable)
-        return response
+            ), True
+        return PlanResponse(
+            query=shown,
+            answerable=True,
+            plan=str(plan),
+            fingerprint=self.compiled.fingerprint,
+        ), True
 
     def explain(
         self,

@@ -135,6 +135,26 @@ class TestRouteAgreement:
             if not cha.is_unknown:
                 assert lin.truth == cha.truth, (schema, query)
 
+    def test_linearization_never_identifies_two_existentials(self):
+        # R0 is reachable only through m0 (no inputs, bound 1), and the
+        # one ID never mentions it, so R0(x, x) is not answerable:
+        # I1 = {R0(a,a), R0(b,c)} and I2 = {R0(b,c)} share the access
+        # m0 -> R0(b,c).  Rewriting R0'(x, x) through the linearized
+        # rule with head R0'(z0, z1) would identify two fresh nulls.
+        schema = Schema()
+        schema.add_relation("R0", 2)
+        schema.add_relation("R1", 2)
+        schema.add_method("m0", "R0", inputs=[], result_bound=1)
+        schema.add_method("m1", "R1", inputs=[0, 1])
+        schema.add_constraint(tgd("R1(x0, x1) -> R1(x1, z1)"))
+        query = boolean_cq([atom("R0", "x", "x")])
+        lin = decide_with_ids(schema, query, route="linearization")
+        cha = decide_with_ids(schema, query, route="chase")
+        assert lin.is_no and cha.is_no
+        assert decide_monotone_answerability(schema, query).is_no
+        # Decide and plan agree: no plan for a NO.
+        assert generate_static_plan(schema, query) is None
+
     def test_falsifier_confirms_no(self):
         schema = university_schema(ud_bound=2)
         assert decide_monotone_answerability(

@@ -80,6 +80,33 @@ class TestSQLiteDurability:
         assert len(sidelined) == 1
         assert sidelined[0].read_bytes().startswith(b"this is not")
 
+    def test_a_locked_new_file_is_waited_for_not_sidelined(
+        self, tmp_path, monkeypatch
+    ):
+        # A sibling process switching the new file to WAL makes `_open`
+        # fail with "database is locked" (no busy wait); the store must
+        # retry rather than sideline the sibling's file.
+        path = tmp_path / "kv.sqlite"
+        SQLiteKVStore(path).close()
+        opened = SQLiteKVStore._open
+        failures = iter([sqlite3.OperationalError("database is locked")] * 2)
+
+        def contended(store):
+            failure = next(failures, None)
+            if failure is not None:
+                raise failure
+            return opened(store)
+
+        monkeypatch.setattr(SQLiteKVStore, "_open", contended)
+        store = SQLiteKVStore(path)
+        try:
+            store.put("ns", "k", b"v")
+            assert store.get("ns", "k") == b"v"
+            assert store.operational_errors == 0
+        finally:
+            store.close()
+        assert not list(tmp_path.glob("kv.sqlite.corrupt-*"))
+
     def test_unusable_path_raises_typed_error(self, tmp_path):
         # The parent "directory" is a plain file: the store can neither
         # be opened nor sidelined — construction fails with the typed

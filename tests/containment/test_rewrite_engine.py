@@ -18,6 +18,7 @@ from repro.containment import (
     RewriteEngine,
     RewritingBudgetExceeded,
     RewritingError,
+    linear_contains,
     rewrite,
 )
 from repro.answerability.deciders import decide_with_ids
@@ -93,6 +94,35 @@ class TestMemoization:
         engine.rewrite(boolean_cq([atom("R", "u"), atom("T", "u", "v")]))
         engine.rewrite(boolean_cq([atom("R", "a"), atom("T", "a", "b")]))
         assert engine.stats()["result_hits"] == 1
+
+
+class TestExistentialClasses:
+    """A backward step may not unify two distinct existential head
+    variables: the chase gives them two distinct fresh nulls."""
+
+    @staticmethod
+    def steps_for(head, query_atom):
+        engine = RewriteEngine([TGD((atom("S", "x"),), (head,))])
+        local_of = {
+            term: index
+            for index, term in enumerate(dict.fromkeys(query_atom.terms))
+        }
+        return engine._atom_steps(query_atom, frozenset(), local_of)
+
+    def test_two_existentials_in_one_class_give_no_step(self):
+        assert self.steps_for(atom("R", "z0", "z1"), atom("R", "u", "u")) == ()
+
+    def test_a_repeated_existential_still_steps(self):
+        [step] = self.steps_for(atom("R", "z", "z"), atom("R", "u", "u"))
+        assert step is not None
+
+    def test_linear_contains_never_identifies_two_nulls(self):
+        source = boolean_cq([atom("S", "a")])
+        target = boolean_cq([atom("R", "u", "u")])
+        apart = [tgd("S(x) -> R(z0, z1)")]
+        together = [tgd("S(x) -> R(z, z)")]
+        assert linear_contains(source, target, apart).is_no
+        assert linear_contains(source, target, together).is_yes
 
 
 class TestDeterminism:

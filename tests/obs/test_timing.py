@@ -67,9 +67,10 @@ class TestStageTimer:
         assert keys == ["queue", "compile", "chase", "persist", "custom_z"]
         assert timer.as_millis()["queue"] == 2.0
 
-    def test_stage_glossary_is_the_documented_six(self):
+    def test_stage_glossary_is_the_documented_seven(self):
         assert STAGES == (
-            "queue", "compile", "rewrite", "chase", "match", "persist"
+            "parse", "queue", "compile", "rewrite", "chase", "match",
+            "persist",
         )
 
 

@@ -3,11 +3,12 @@
 `DecideServer` decides every cache miss on one of `DECISION_THREADS`
 executor threads; cached decisions are answered on the event loop.
 These tests pin what that shape must guarantee while a slow miss holds
-a thread: a cached hit on another connection is answered on the loop,
-a cheap miss on another connection is decided beside it, the slow
-miss's deadline (or a drain's ``cancel_in_flight``) still ends it with
-a retryable ``DeadlineExceeded`` frame, and once every thread is held
-a further miss queues and is decided when a thread frees.
+a thread: a cached hit on another connection is answered on the loop, a
+cheap miss on another connection is decided beside it, the slow miss's
+deadline (or a drain's ``cancel_in_flight``) still ends it with a
+retryable ``DeadlineExceeded`` frame, and once every thread is held a
+further miss queues and is decided when a thread frees, while exact-text
+and durable-store hits are still answered.
 
 The slow miss is deterministic: the pool's ``process`` holds any frame
 whose id starts with ``slow`` until the test releases it or its budget
@@ -18,8 +19,10 @@ import asyncio
 import json
 import threading
 
+from repro.cache import ArtifactStore, MemoryKVStore
 from repro.server import DecideServer, SessionPool
 from repro.server.server import DECISION_THREADS
+from repro.service import Session
 from repro.workloads import university_schema
 
 HOT = {"query": "Udirectory(i, a, p)", "id": "hot"}
@@ -48,7 +51,7 @@ class HeldPool:
         self._lock = threading.Lock()
         process = pool.process
 
-        def held(request, *, budget=None, text_key=None):
+        def held(request, *, budget=None, text_key=None, miss=None):
             with self._lock:
                 self.threads.add(threading.get_ident())
                 self.log.append(("start", str(request.id)))
@@ -58,7 +61,9 @@ class HeldPool:
                 while not self.release.wait(0.002):
                     budget.check()
             try:
-                return process(request, budget=budget, text_key=text_key)
+                return process(
+                    request, budget=budget, text_key=text_key, miss=miss
+                )
             finally:
                 with self._lock:
                     self.log.append(("end", str(request.id)))
@@ -205,6 +210,44 @@ class TestEveryThreadHeld:
         )
         assert log.index(("start", "cheap")) > first_end
         assert stats["in_flight"] == 0
+
+    def test_durable_and_exact_text_hits_are_answered_meanwhile(self):
+        # CHEAP's answer is in the store but not in the pool's session:
+        # a durable hit, answered on the loop like the exact-text HOT.
+        store = ArtifactStore(MemoryKVStore())
+        Session(university_schema(ud_bound=100), store=store).decide(
+            CHEAP["query"]
+        )
+
+        async def scenario():
+            pool = SessionPool(university_schema(ud_bound=100), store=store)
+            held = HeldPool(pool)
+            server = await DecideServer(pool, port=0).start()
+            try:
+                assert (await (await send(server, HOT)))["cached"] is False
+                slows = [
+                    await send(server, slow_frame(f"slow-{k}"))
+                    for k in range(DECISION_THREADS)
+                ]
+                await until(lambda: held.held == DECISION_THREADS)
+                hits_before = server.server_stats()["loop_hits"]
+                durable = await (await send(server, CHEAP))
+                exact = await (await send(server, HOT))
+                hits = server.server_stats()["loop_hits"] - hits_before
+                assert not any(slow.done() for slow in slows)
+                held.release.set()
+                await asyncio.gather(*slows)
+                return durable, exact, hits, pool.stats()
+            finally:
+                held.release.set()
+                await server.close()
+
+        durable, exact, hits, stats = run(scenario())
+        assert durable["decision"] == "no" and durable["cached"] is True
+        assert exact["decision"] == "yes" and exact["cached"] is True
+        assert hits == 2
+        [session] = stats["sessions"]
+        assert session["cache"]["durable_hits"] == 1
 
     def test_misses_run_on_at_most_decision_threads_threads(self):
         async def scenario():

@@ -1,11 +1,14 @@
-"""The event-loop cache probe (`SessionPool.probe` / `Session.probe`).
+"""The event-loop cache lookup (`SessionPool.lookup` / `Session.lookup`).
 
-A decide or plan frame whose exact (schema spelling, query text) pair a
-session has already answered is served on the server's event loop,
-without the parse, the compile, or the executor hop.  These tests pin
-that the loop-served reply and every counter are exactly what the
-executor path would have produced, that quotas still apply, and that
-the probe never blocks the loop on the pool lock.
+A decide or plan frame on a schema spelling the pool knows (live or
+recalled) is looked up on the server's event loop: exact text, then
+parse and canonical key, then the session's LRU, then the durable
+store.  A hit is served right there, without the compile or the
+executor hop; a miss goes to a decision thread with its parsed state.
+These tests pin that the loop-served reply and every counter are
+exactly what the executor path would have produced, that quotas still
+apply, that a miss is parsed once, and that the lookup never blocks the
+loop on the pool lock.
 """
 
 import asyncio
@@ -16,11 +19,13 @@ import threading
 
 import pytest
 
+from repro.cache import ArtifactStore, MemoryKVStore
 from repro.io import schema_to_dict
 from repro.logic.parser import parse_cq
+from repro.obs.registry import MetricsRegistry
 from repro.server import DecideServer, SessionPool
-from repro.service import Session
-from repro.service.session import MAX_TEXTS_PER_ENTRY
+from repro.service import QuerySchemaError, Session
+from repro.service.session import MAX_TEXTS_PER_ENTRY, Miss
 from repro.workloads import (
     fd_determinacy_workload,
     id_width_workload,
@@ -56,9 +61,9 @@ def frame(workload, **extra) -> bytes:
     return json.dumps(payload).encode("utf-8") + b"\n"
 
 
-def without_probe(pool: SessionPool) -> SessionPool:
+def without_lookup(pool: SessionPool) -> SessionPool:
     """Force every frame onto the executor path."""
-    pool.probe = lambda request, text_key=None: None
+    pool.lookup = lambda request, text_key=None: None
     return pool
 
 
@@ -101,7 +106,7 @@ class TestSameReplies:
         # session, which cached the first.
         loop, loop_hits = run(scenario(SessionPool()))
         executor, executor_hits = run(
-            scenario(without_probe(SessionPool()))
+            scenario(without_lookup(SessionPool()))
         )
         assert (loop_hits, executor_hits) == (2, 0)
         assert loop[1]["cached"] is True and loop[3]["cached"] is True
@@ -138,8 +143,11 @@ class TestAccounting:
             return SessionPool(university_schema(ud_bound=100))
 
         loop_stats, loop_server = run(scenario(pool_of()))
-        exec_stats, exec_server = run(scenario(without_probe(pool_of())))
-        assert loop_server["loop_hits"] == 2 * len(workloads) + 1
+        exec_stats, exec_server = run(scenario(without_lookup(pool_of())))
+        # Every repeat is a loop hit, and so is the first "fds-undet"
+        # frame: its query is an alpha variant of the "fds" one on the
+        # same schema, answered through the canonical key.
+        assert loop_server["loop_hits"] == 2 * len(workloads) + 2
         assert exec_server["loop_hits"] == 0
         assert loop_stats["counters"] == exec_stats["counters"]
         assert loop_stats["per_fingerprint"] == exec_stats["per_fingerprint"]
@@ -297,21 +305,31 @@ class TestNeverBlocks:
         assert stats["loop_hits"] == 0
 
 
-class TestSessionProbe:
-    def test_probe_miss_counts_nothing(self):
+class TestSessionLookup:
+    def test_miss_counts_one_miss_and_resolve_counts_none(self):
         session = Session(university_schema(ud_bound=100))
-        assert session.probe("decide", "Udirectory(i, a, p)") is None
-        assert session.cache_info()["misses"] == 0
+        miss = session.lookup("decide", "Udirectory(i, a, p)")
+        assert isinstance(miss, Miss) and miss.session is session
+        assert session.cache_info()["misses"] == 1
+        response = session.resolve(miss)
+        assert response.decision == "yes" and response.cached is False
+        assert session.cache_info()["misses"] == 1
+        assert session.lookup("decide", "Udirectory(i, a, p)").cached
 
     def test_text_key_lives_and_dies_with_its_entry(self):
         session = Session(university_schema(ud_bound=100), cache_size=1)
         session.decide("Udirectory(i, a, p)")
-        assert session.probe("decide", "Udirectory(i, a, p)").cached
-        assert session.probe("decide", "Udirectory(i, a, p)", True) is None
-        assert session.probe("plan", "Udirectory(i, a, p)") is None
+        assert session.lookup("decide", "Udirectory(i, a, p)").cached
+        assert isinstance(
+            session.lookup("decide", "Udirectory(i, a, p)", True), Miss
+        )
+        assert isinstance(session.lookup("plan", "Udirectory(i, a, p)"), Miss)
         session.decide("Prof(i, n, 10000)")  # evicts the first entry
-        assert session.probe("decide", "Udirectory(i, a, p)") is None
-        assert session.probe("decide", "Prof(i, n, 10000)").cached
+        assert ("decide", "Udirectory(i, a, p)", False) not in session._texts
+        assert isinstance(
+            session.lookup("decide", "Udirectory(i, a, p)"), Miss
+        )
+        assert session.lookup("decide", "Prof(i, n, 10000)").cached
 
     def test_alpha_variants_share_the_entry_under_their_own_texts(self):
         session = Session(university_schema(ud_bound=100))
@@ -319,26 +337,34 @@ class TestSessionProbe:
         replies = [session.decide(text) for text in texts]
         assert [reply.cached for reply in replies] == [False] + [True] * 5
         assert session.cache_info()["size"] == 1
-        # The newest texts probe-hit, each with its own parsed repr;
-        # the oldest made room past the per-entry cap.
+        # The newest texts are exact-text keys; the oldest made room
+        # past the per-entry cap.
         kept = texts[-MAX_TEXTS_PER_ENTRY:]
+        assert {text for __, text, ___ in session._texts} == set(kept)
+        # Every text hits (the evicted ones through the canonical key),
+        # each with its own parsed repr.
         for text, reply in zip(texts, replies):
-            hit = session.probe("decide", text)
-            if text in kept:
-                assert hit.query == reply.query
-                assert comparable(hit.to_dict()) == comparable(
-                    reply.to_dict()
-                )
-            else:
-                assert hit is None
+            hit = session.lookup("decide", text)
+            assert hit.cached and hit.query == reply.query
+            assert comparable(hit.to_dict()) == comparable(
+                {**reply.to_dict(), "cached": True}
+            )
 
-    def test_uncacheable_sessions_never_probe_hit(self):
+    def test_uncacheable_sessions_never_hit(self):
         session = Session(university_schema(ud_bound=100), cache_size=0)
         session.decide("Udirectory(i, a, p)")
-        assert session.probe("decide", "Udirectory(i, a, p)") is None
+        assert isinstance(
+            session.lookup("decide", "Udirectory(i, a, p)"), Miss
+        )
+
+    def test_misfit_query_raises_before_any_cache(self):
+        session = Session(university_schema(ud_bound=100))
+        with pytest.raises(QuerySchemaError):
+            session.lookup("decide", "Udirectory(i, a)")
+        assert session.cache_info()["misses"] == 0
 
     def test_text_index_survives_racing_threads(self):
-        # More threads than cores race decide/probe on alpha variants
+        # More threads than cores race decide/lookup on alpha variants
         # against a 2-entry LRU, so inserts, relinks and evictions
         # interleave.  A lost update would break the hit/miss count or
         # leave the text index out of step with the entries.
@@ -355,7 +381,7 @@ class TestSessionProbe:
         ]
         session = Session(university_schema(ud_bound=100), cache_size=2)
         decides = [0] * 8
-        probe_hits = [0] * 8
+        lookups = [0] * 8
         wrong = []
         errors = []
 
@@ -365,10 +391,10 @@ class TestSessionProbe:
                 for __ in range(150):
                     text, decision = rng.choice(texts)
                     if rng.random() < 0.5:
-                        reply = session.probe("decide", text)
-                        if reply is None:
-                            continue
-                        probe_hits[index] += 1
+                        reply = session.lookup("decide", text)
+                        lookups[index] += 1
+                        if isinstance(reply, Miss):
+                            reply = session.resolve(reply)
                     else:
                         reply = session.decide(text)
                         decides[index] += 1
@@ -393,11 +419,9 @@ class TestSessionProbe:
         assert not errors
         assert not wrong
         info = session.cache_info()
-        # Every decide counts one hit or one miss; a direct probe counts
-        # a hit only when it returns one.
-        assert info["hits"] + info["misses"] == sum(decides) + sum(
-            probe_hits
-        )
+        # Every decide and every lookup counts one hit or one miss;
+        # resolving a miss counts nothing.
+        assert info["hits"] + info["misses"] == sum(decides) + sum(lookups)
         with session._lock:
             linked = {
                 text: key
@@ -409,3 +433,136 @@ class TestSessionProbe:
             }
         assert linked == indexed
         assert info["size"] <= 2
+
+
+def stage_counts(registry: MetricsRegistry) -> dict:
+    """Observations per stage in ``repro_request_stage_ms``."""
+    histograms = registry.snapshot()["histograms"]
+    series = histograms.get("repro_request_stage_ms", {"series": []})
+    return {s["labels"]["stage"]: s["count"] for s in series["series"]}
+
+
+class TestLoopLookup:
+    """Hits beyond the exact text — the canonical key, the durable store,
+    recalled fingerprints — are answered on the loop; misses cross to a
+    decision thread with their parsed state."""
+
+    FIRST = lookup_chain_workload(2)
+    SECOND = lookup_chain_workload(3)
+
+    def recalled_scenario(self, line: bytes, registry=None):
+        """Decide FIRST, evict it with SECOND, then send ``line`` on a
+        fresh `pool.process` spy.  Returns the pool, the store, the
+        reply to ``line`` (bytes when the loop answered), the loop hits
+        it added, the `process` calls it made and the stage counts it
+        added."""
+        store = ArtifactStore(MemoryKVStore())
+        pool = SessionPool(store=store, max_fingerprints=1)
+        entered = []
+        process = pool.process
+
+        def spy(*args, **kwargs):
+            entered.append(args)
+            return process(*args, **kwargs)
+
+        async def scenario():
+            server = await DecideServer(
+                pool, port=0, metrics=registry
+            ).start()
+            try:
+                await replies(server, [frame(self.FIRST), frame(self.SECOND)])
+                pool.process = spy
+                hits = server.server_stats()["loop_hits"]
+                stages = stage_counts(registry) if registry else {}
+                reply = server._process_line(line, "peer")
+                added = {
+                    name: count - stages.get(name, 0)
+                    for name, count in (
+                        stage_counts(registry) if registry else {}
+                    ).items()
+                }
+                return (
+                    reply,
+                    server.server_stats()["loop_hits"] - hits,
+                    added,
+                )
+            finally:
+                await server.close()
+
+        reply, loop_hits, stages = run(scenario())
+        return pool, store, reply, loop_hits, entered, stages
+
+    def test_recalled_fingerprint_is_answered_from_the_store(self):
+        pool, store, reply, loop_hits, entered, __ = self.recalled_scenario(
+            frame(self.FIRST, id="back")
+        )
+        assert isinstance(reply, bytes)
+        answer = json.loads(reply)
+        assert answer["cached"] is True and answer["id"] == "back"
+        expected = "yes" if self.FIRST.expected_answerable else "no"
+        assert answer["decision"] == expected
+        assert loop_hits == 1 and entered == []
+        assert pool.stats()["counters"]["fingerprints_recalled"] == 1
+        assert store.stats()["tiers"]["decision"]["hits"] == 1
+        [entry] = pool._entries.values()
+        assert entry.session.durable_hits == 1
+        # Served without parsing the recalled schema.
+        assert "schema" not in entry.compiled.stats
+
+    def test_loop_answered_durable_hit_records_parse_and_persist(self):
+        registry = MetricsRegistry()
+        *__, loop_hits, ___, stages = self.recalled_scenario(
+            frame(self.FIRST), registry
+        )
+        assert loop_hits == 1
+        assert stages["parse"] == 1 and stages["persist"] == 1
+        assert stages.get("queue", 0) == 0
+
+    def test_misfit_query_on_a_recalled_entry_is_refused_on_the_loop(self):
+        line = json.dumps(
+            {
+                "query": "L0(x)",
+                "schema": schema_to_dict(self.FIRST.schema),
+                "id": "bad",
+            }
+        ).encode("utf-8") + b"\n"
+        pool, store, reply, loop_hits, entered, __ = self.recalled_scenario(
+            line
+        )
+        assert isinstance(reply, bytes)
+        error = json.loads(reply)
+        assert error["error"]["type"] == "QuerySchemaError"
+        assert error["id"] == "bad"
+        assert loop_hits == 0 and entered == []
+        assert pool.stats()["counters"]["fingerprints_recalled"] == 1
+        [entry] = pool._entries.values()
+        assert entry.session.cache_info()["misses"] == 0
+        assert "schema" not in entry.compiled.stats
+
+    def test_a_cold_miss_is_parsed_once(self, monkeypatch):
+        from repro.service import session as session_module
+
+        texts = []
+        parse = session_module.parse_cq
+
+        def counting(text):
+            texts.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(session_module, "parse_cq", counting)
+        pool = SessionPool(university_schema(ud_bound=100))
+
+        async def scenario():
+            server = await DecideServer(pool, port=0).start()
+            try:
+                reply = server._process_line(
+                    b'{"query": "Prof(i, n, 10000)"}\n', "peer"
+                )
+                assert not isinstance(reply, bytes)
+                return json.loads(await reply)
+            finally:
+                await server.close()
+
+        reply = run(scenario())
+        assert reply["decision"] == "no" and reply["cached"] is False
+        assert texts == ["Prof(i, n, 10000)"]

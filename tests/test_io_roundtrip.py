@@ -97,6 +97,44 @@ def test_fingerprint_survives_round_trip(label, build):
     assert schema_fingerprint(rebuilt) == schema_fingerprint(schema)
 
 
+class TestUnknownKeys:
+    """A misspelt key is an error, not a silently dropped setting."""
+
+    def test_unknown_method_key_is_rejected(self):
+        from repro.io import SchemaFormatError
+
+        description = {
+            "relations": {"R": 2},
+            "methods": [
+                {"name": "m", "relation": "R", "inputs": [1], "bound": 1}
+            ],
+        }
+        with pytest.raises(SchemaFormatError, match="'bound'.*method 'm'"):
+            schema_from_dict(description)
+
+    def test_unknown_top_level_key_is_rejected(self):
+        from repro.io import SchemaFormatError
+
+        description = {
+            "relations": {"R": 2},
+            "constraint": ["R(x, y) -> R(y, z)"],
+        }
+        with pytest.raises(SchemaFormatError, match="'constraint'"):
+            schema_from_dict(description)
+
+    def test_every_key_schema_to_dict_writes_is_accepted(self):
+        from repro.schema import Schema
+
+        schema = university_schema(ud_bound=100, with_ud2=True, with_fd=True)
+        extra = Schema()
+        extra.add_relation("T", 2, ("a", "b"))
+        extra.add_method("mt", "T", inputs=[0], result_lower_bound=2)
+        extra.add_method("mb", "T", inputs=[1], result_bound=5)
+        for original in (schema, extra):
+            description = schema_to_dict(original)
+            assert_schemas_equivalent(original, schema_from_dict(description))
+
+
 class TestParseConstraint:
     def test_named_tgd(self):
         parsed = parse_constraint(
