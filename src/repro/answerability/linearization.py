@@ -33,6 +33,7 @@ of Theorem 5.3 for unbounded width, where w grows with the schema).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,61 +108,94 @@ def saturate_truncated_axioms(
     Returns, for every relation R and position set P with |P| ≤ w, the
     *transferred closure* of P: all positions j such that the derived
     axiom ``acc(P) ∧ R(x̄) → acc(x_j)`` holds.
-    """
-    shapes = [IDShape.of(dependency) for dependency in ids]
-    state: Saturation = {}
-    for relation, arity in arities.items():
-        for subset in _subsets_up_to(range(arity), width):
-            state[(relation, frozenset(subset))] = set(subset)
 
-    methods_by_relation: dict[str, list[AccessMethod]] = {}
+    The closure rules (ID), (Transitivity) and (Access) are monotone,
+    so their least fixpoint does not depend on the order they fire in.
+    A worklist reaches it: an entry is examined once at the start and
+    again whenever its closure grows, and then fires only the rule
+    instances that read it.  Those are (Access) and (Transitivity)
+    with the entry as the base, (Transitivity) into each entry of the
+    same relation whose closure covers its premise, and (ID) from it
+    as the head entry an ID pulls back from.
+    """
+    state: Saturation = {}
+    #: relation -> its entries, as (premise P, closure of P).
+    rows: dict[str, list[tuple[frozenset[int], set[int]]]] = {}
+    for relation, arity in arities.items():
+        entries = rows[relation] = []
+        for subset in _subsets_up_to(range(arity), width):
+            premise = frozenset(subset)
+            closure = state[(relation, premise)] = set(subset)
+            entries.append((premise, closure))
+
+    inputs_by_relation: dict[str, list[frozenset[int]]] = {}
     for method in exact_methods:
-        methods_by_relation.setdefault(method.relation.name, []).append(
-            method
+        inputs_by_relation.setdefault(method.relation.name, []).append(
+            method.input_positions
         )
 
-    changed = True
-    while changed:
-        changed = False
-        # (Access): accessible inputs of an exact method expose the whole
-        # fact.
-        for (relation, __), closure in state.items():
-            for method in methods_by_relation.get(relation, ()):
-                if method.input_positions <= closure:
-                    full = set(range(arities[relation]))
-                    if not full <= closure:
-                        closure.update(full)
-                        changed = True
-        # (ID): pull a derived axiom on the head back to the body.
-        for shape in shapes:
-            body_of_head = {h: b for b, h in shape.exported}
-            exported_heads = frozenset(body_of_head)
-            for head_subset in _subsets_up_to(exported_heads, width):
-                head_key = (shape.head_relation, frozenset(head_subset))
-                targets = state.get(head_key)
-                if targets is None:
-                    continue
-                body_subset = frozenset(
-                    body_of_head[h] for h in head_subset
+    #: (ID) by the head entry it reads: head key -> [(the body key it
+    #: writes, head position -> body position)].
+    pulls: dict[
+        tuple[str, frozenset[int]],
+        list[tuple[tuple[str, frozenset[int]], dict[int, int]]],
+    ] = {}
+    for dependency in ids:
+        shape = IDShape.of(dependency)
+        body_of_head = {h: b for b, h in shape.exported}
+        for head_subset in _subsets_up_to(body_of_head, width):
+            head_key = (shape.head_relation, frozenset(head_subset))
+            body_key = (
+                shape.body_relation,
+                frozenset(body_of_head[h] for h in head_subset),
+            )
+            if head_key in state and body_key in state:
+                pulls.setdefault(head_key, []).append(
+                    (body_key, body_of_head)
                 )
-                body_key = (shape.body_relation, body_subset)
-                body_closure = state.get(body_key)
-                if body_closure is None:
-                    continue
-                for target in targets & exported_heads:
-                    body_target = body_of_head[target]
-                    if body_target not in body_closure:
-                        body_closure.add(body_target)
-                        changed = True
-        # (Transitivity): close each entry under the others of the same
-        # relation.
-        for (relation, base), closure in state.items():
-            for (relation2, premise), targets in state.items():
-                if relation2 != relation or not premise <= closure:
-                    continue
-                if not targets <= closure:
-                    closure.update(targets)
-                    changed = True
+
+    queue = deque(state)
+    queued = set(state)
+
+    def grew(key: tuple[str, frozenset[int]]) -> None:
+        if key not in queued:
+            queued.add(key)
+            queue.append(key)
+
+    while queue:
+        key = queue.popleft()
+        queued.discard(key)
+        relation, premise = key
+        closure = state[key]
+        entries = rows[relation]
+        # (Transitivity), this entry as the base: take in the closure of
+        # every premise it covers, until it covers no new one.
+        covering = True
+        while covering:
+            covering = False
+            for premise2, targets in entries:
+                if premise2 <= closure and not targets <= closure:
+                    closure |= targets
+                    covering = True
+        # (Access): accessible inputs of an exact method expose the
+        # whole fact.
+        if any(
+            inputs <= closure
+            for inputs in inputs_by_relation.get(relation, ())
+        ):
+            closure.update(range(arities[relation]))
+        # (Transitivity), this entry as a premise of the others.
+        for premise2, closure2 in entries:
+            if premise <= closure2 and not closure <= closure2:
+                closure2 |= closure
+                grew((relation, premise2))
+        # (ID): pull this derived axiom on the head back to the body.
+        for body_key, body_of_head in pulls.get(key, ()):
+            pulled = {body_of_head[t] for t in closure if t in body_of_head}
+            body_closure = state[body_key]
+            if not pulled <= body_closure:
+                body_closure |= pulled
+                grew(body_key)
     return state
 
 

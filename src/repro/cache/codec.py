@@ -28,6 +28,12 @@ from typing import Any, Optional
 FORMAT_VERSION = 2
 
 
+#: Reused encoders (``json.dumps`` builds a fresh one per call): the
+#: payload's canonical form and the compact envelope around it.
+_PAYLOAD_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENVELOPE_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _library_version() -> str:
     from .. import __version__
 
@@ -40,9 +46,7 @@ def _digest(payload_json: str) -> str:
 
 def encode_envelope(kind: str, payload: Any) -> bytes:
     """Wrap `payload` (JSON-serializable) in a stamped envelope."""
-    payload_json = json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    )
+    payload_json = _PAYLOAD_JSON.encode(payload)
     envelope = {
         "v": FORMAT_VERSION,
         "lib": _library_version(),
@@ -50,7 +54,7 @@ def encode_envelope(kind: str, payload: Any) -> bytes:
         "sha": _digest(payload_json),
         "payload": payload_json,
     }
-    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    return _ENVELOPE_JSON.encode(envelope).encode("utf-8")
 
 
 def decode_envelope(blob: Optional[bytes], kind: str) -> Optional[Any]:

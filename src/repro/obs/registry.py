@@ -16,6 +16,13 @@ the registry locks only its instrument/provider tables.  Label sets
 are caller-bounded: instruments declare their label names up front and
 providers are expected to keep dict keys that become labels (e.g.
 fingerprints) bounded by an existing LRU (see DESIGN.md §3c).
+
+A series is addressed by its *label key*: the tuple of its label
+values in declared order (`_Instrument.key`).  ``inc(**labels)`` and
+``observe(value, **labels)`` build and check that key on every call;
+a per-request caller computes its keys once and updates through
+`Counter.inc_key` / `Histogram.observe_key`, the one update path both
+spellings share.
 """
 
 from __future__ import annotations
@@ -82,6 +89,10 @@ class _Instrument:
         self.label_names = tuple(label_names)
         self._lock = threading.Lock()
 
+    def key(self, **labels: str) -> tuple[str, ...]:
+        """The label key of one series, for the ``*_key`` updates."""
+        return _labels_key(self.label_names, labels)
+
 
 class Counter(_Instrument):
     """A monotonically increasing counter, optionally labelled."""
@@ -95,9 +106,12 @@ class Counter(_Instrument):
         self._values: dict[tuple[str, ...], float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
+        self.inc_key(_labels_key(self.label_names, labels), amount)
+
+    def inc_key(self, key: tuple[str, ...], amount: float = 1.0) -> None:
+        """`inc` the series whose label key (`key`) is ``key``."""
         if amount < 0:
             raise ValueError("counters only go up")
-        key = _labels_key(self.label_names, labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -191,20 +205,20 @@ class Histogram(_Instrument):
         self.buckets = bounds
         self._series: dict[tuple[str, ...], _HistogramSeries] = {}
 
-    def _get(self, labels: dict[str, str]) -> _HistogramSeries:
-        key = _labels_key(self.label_names, labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series.setdefault(
-                key, _HistogramSeries(len(self.buckets))
-            )
-        return series
-
     def observe(self, value: float, **labels: str) -> None:
+        self.observe_key(value, _labels_key(self.label_names, labels))
+
+    def observe_key(self, value: float, key: tuple[str, ...]) -> None:
+        """`observe` into the series whose label key (`key`) is
+        ``key``."""
         value = float(value)
         index = bisect.bisect_left(self.buckets, value)
         with self._lock:
-            series = self._get(labels)
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = _HistogramSeries(
+                    len(self.buckets)
+                )
             if index < len(self.buckets):
                 series.counts[index] += 1
             else:

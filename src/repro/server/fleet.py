@@ -24,10 +24,12 @@ routing.
 `repro.server.lines.FrameMemo` (a line that keeps repeating stops being
 decoded after its second sighting), forwarded verbatim, and the
 worker's reply line is written back to the client as received,
-straight from the worker channel's ``buffer_updated``: no Task, no
-re-encoding.  A reply is decoded (``replies_decoded``) only to learn a
-spelling's fingerprint the first time, or when a request log wants its
-fields.
+straight from the worker channel's ``buffer_updated``: `_process_line`
+returns a decide/plan frame's reply as a `repro.server.lines.Pending`
+that the channel's callback completes, so a relayed frame costs no
+Future, no Task, no extra event-loop pass and no re-encoding.  A reply
+is decoded (``replies_decoded``) only to learn a spelling's
+fingerprint the first time, or when a request log wants its fields.
 
 **Failure semantics.**  A worker death (or dropped connection) fails
 every in-flight frame on it with a typed, retryable
@@ -85,10 +87,12 @@ from .lines import (
     READ_CHUNK_BYTES,
     FrameLoop,
     FrameMemo,
+    Pending,
     Reply,
     encode_frame,
     is_error_line,
     process_usage,
+    request_metric_keys,
 )
 from .supervisor import CrashLoopError, Supervisor, WorkerSpec
 
@@ -276,6 +280,35 @@ class _WorkerClient:
         }
 
 
+class _Relay(Pending):
+    """One decide/plan frame in flight to a worker: the channel's
+    `OnReply` for it, and the `Pending` reply its client connection
+    waits on.  Called with the worker's reply line (or the `WorkerLost`
+    that ended the channel), it completes with the client's line."""
+
+    __slots__ = ("_dispatcher", "_request", "_spelling", "_started")
+
+    def __init__(
+        self,
+        dispatcher: "FleetDispatcher",
+        request: DecideRequest,
+        spelling: Optional[str],
+        started: float,
+    ) -> None:
+        super().__init__()
+        self._dispatcher = dispatcher
+        self._request = request
+        self._spelling = spelling
+        self._started = started
+
+    def __call__(self, reply: Union[bytes, WorkerLost]) -> None:
+        self.complete(
+            self._dispatcher._relayed(
+                reply, self._request, self._spelling, self._started
+            )
+        )
+
+
 class FleetDispatcher:
     """The fleet's front door: a JSON-lines asyncio server that owns
     the consistent-hash ring and forwards each frame to its
@@ -350,6 +383,9 @@ class FleetDispatcher:
             "repro_fleet_request_ms",
             "Dispatcher wall time per frame (includes worker RTT), ms.",
             labels=("op",),
+        )
+        self._m_keys = request_metric_keys(
+            self._m_requests, self._m_request_ms
         )
         registry.register_provider("fleet", self.fleet_stats)
 
@@ -514,8 +550,9 @@ class FleetDispatcher:
     def _process_line(self, line: bytes, peer: str = "?") -> Reply:
         """One client line in, its reply line out: as bytes for what
         the dispatcher answers itself (malformed frames, ``ping``, an
-        empty ring), as a coroutine for the fanned-out ``stats`` and
-        ``metrics``, and as a future of the worker's reply line for
+        empty ring, a worker already lost), as a coroutine for the
+        fanned-out ``stats`` and ``metrics``, and as a `Pending` that the
+        worker channel completes with the worker's reply line for
         decide/plan."""
         started = time.perf_counter()
         self._counters["frames"] += 1
@@ -571,8 +608,9 @@ class FleetDispatcher:
         failed = is_error_line(reply)
         outcome = "error" if failed else "ok"
         if self.metrics is not None:
-            self._m_requests.inc(op=op, outcome=outcome)
-            self._m_request_ms.observe(elapsed_ms, op=op)
+            ok_key, error_key, op_key = self._m_keys[op]
+            self._m_requests.inc_key(error_key if failed else ok_key)
+            self._m_request_ms.observe_key(elapsed_ms, op_key)
         if self._request_log is not None:
             # The log wants reply fields, so only a logging dispatcher
             # decodes every relayed line.
@@ -601,7 +639,8 @@ class FleetDispatcher:
         """Relay one decide/plan line to its shard's worker.  The
         worker's reply line is passed on as is — the worker already
         stamped the request id and encoded it exactly as this loop
-        would — straight from the channel's ``buffer_updated``."""
+        would — and written to the client from the channel's
+        ``buffer_updated`` (a `_Relay`)."""
         worker_id = self.ring.node_for(self.routing_key(spelling))
         client = (
             self._workers.get(worker_id) if worker_id is not None else None
@@ -624,27 +663,32 @@ class FleetDispatcher:
                 started,
             )
         self._counters["routed"] += 1
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-
-        def relayed(reply: Union[bytes, WorkerLost]) -> None:
-            if isinstance(reply, WorkerLost):
-                self._counters["errors"] += 1
-                self._counters["worker_lost"] += 1
-                reply = encode_frame(
-                    ErrorFrame.from_exception(reply, id=request.id).to_dict()
-                )
-            else:
-                self._counters["responses"] += 1
-                self._learn_route(spelling, reply)
-            reply = self._reply(request, reply, started)
-            if not future.done():  # a drain may have cancelled it
-                future.set_result(reply)
-
+        relay = _Relay(self, request, spelling, started)
         try:
-            client.send(line, relayed)
+            client.send(line, relay)
         except WorkerLost as error:
-            relayed(error)
-        return future
+            relay(error)  # completes it before the frame loop sees it
+        return relay
+
+    def _relayed(
+        self,
+        reply: Union[bytes, WorkerLost],
+        request: DecideRequest,
+        spelling: Optional[str],
+        started: float,
+    ) -> bytes:
+        """The client's reply line for one relayed frame: the worker's
+        line as is, or a typed retryable error for a lost worker."""
+        if isinstance(reply, WorkerLost):
+            self._counters["errors"] += 1
+            self._counters["worker_lost"] += 1
+            reply = encode_frame(
+                ErrorFrame.from_exception(reply, id=request.id).to_dict()
+            )
+        else:
+            self._counters["responses"] += 1
+            self._learn_route(spelling, reply)
+        return self._reply(request, reply, started)
 
     # ------------------------------------------------------------------
     # Aggregated stats

@@ -10,13 +10,22 @@ Each connection is an `asyncio.BufferedProtocol`: the socket reads
 into one `READ_CHUNK_BYTES` buffer per connection, every complete
 non-blank line goes to the front end's ``process(line, peer)``, and
 the reply line is written back.
-``process`` returns the reply as bytes when it can answer on the spot
-(a malformed frame, a ping, a cached decision, a shed request) and
-only otherwise an awaitable of those bytes; the connection then holds
-its next frames until that reply is written.  An answer on the spot
-therefore costs no Task, no Future and no coroutine switch.  Replies
-are bytes, not dicts, so a front end that already holds an encoded
-reply (the dispatcher relaying a worker's line) writes it as is;
+``process`` returns one of three reply kinds:
+
+* bytes, when it can answer on the spot (a malformed frame, a ping, a
+  cached decision, a shed request);
+* a `Pending`, when another callback will learn the reply (the fleet
+  dispatcher relaying a frame to a worker completes it from the worker
+  channel's ``buffer_updated``);
+* otherwise an awaitable of the bytes (a decision on an executor
+  thread, a fanned-out stats probe).
+
+Until a `Pending` or awaitable reply is written, the connection holds
+its next frames.  An answer on the spot or a relayed reply costs no
+Task, no Future, no coroutine switch and no extra event-loop pass:
+the reply is written from the callback that produced it.  Replies are
+bytes, not dicts, so a front end that already holds an encoded reply
+(the dispatcher relaying a worker's line) writes it as is;
 `encode_frame` is the one encoder for the rest.
 
 Both front ends parse request lines through a `FrameMemo`: a
@@ -34,7 +43,8 @@ resynchronized past, so the loop answers it with a ``FrameTooLong``
 error frame and closes that connection.
 
 The module also holds what every front end shares without the session
-pool: `text_key_of` (a frame's schema spelling, the routing key) and
+pool: `text_key_of` (a frame's schema spelling, the routing key),
+`request_metric_keys` (the label keys of the request instruments) and
 `process_usage` (the ``process`` block of a stats frame).  The fleet
 dispatcher imports this module, so it imports nothing from the
 decision core.
@@ -47,9 +57,12 @@ import json
 import os
 import sys
 from collections import OrderedDict
-from typing import Awaitable, Callable, Optional, Union
+from typing import TYPE_CHECKING, Awaitable, Callable, Optional, Union
 
-from ..io import DecideRequest, ErrorFrame
+from ..io import REQUEST_OPS, DecideRequest, ErrorFrame
+
+if TYPE_CHECKING:
+    from ..obs.registry import Counter, Histogram
 
 #: Cap on one request line; longer frames get a structured error and
 #: the connection closes.
@@ -80,7 +93,36 @@ FRAME_MEMO_SEEN = 4096
 #: whose first key is ``error`` — starts with exactly these bytes.
 ERROR_PREFIX = b'{"error": '
 
-Reply = Union[bytes, Awaitable[bytes]]
+#: The one sorted-keys encoder: ``json.dumps(..., sort_keys=True)``
+#: builds a fresh `json.JSONEncoder` per call, and a frame is encoded
+#: once or twice per request.  Encoders keep no state between calls.
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
+class Pending:
+    """A reply that a callback completes rather than an awaitable.
+
+    A front end returns one from ``process`` when another callback will
+    produce the reply line, and calls `complete` there.  The connection
+    writes the line from inside `complete`, so a relayed reply costs no
+    Future, no Task and no extra pass of the event loop.  ``line`` holds
+    the reply once it is complete.
+    """
+
+    __slots__ = ("line", "_deliver")
+
+    def __init__(self) -> None:
+        self.line: Optional[bytes] = None
+        self._deliver: Optional[Callable[[bytes], None]] = None
+
+    def complete(self, line: bytes) -> None:
+        self.line = line
+        deliver, self._deliver = self._deliver, None
+        if deliver is not None:
+            deliver(line)
+
+
+Reply = Union[bytes, Pending, Awaitable[bytes]]
 Process = Callable[[bytes, str], Reply]
 Parsed = tuple[DecideRequest, Optional[str]]
 
@@ -90,8 +132,27 @@ def text_key_of(schema: object) -> Optional[str]:
     for anything else.  Transports compute it once per frame and pass
     it along (`SessionPool.lookup`, `SessionPool.process`)."""
     if isinstance(schema, dict):
-        return json.dumps(schema, sort_keys=True)
+        return SORTED_JSON.encode(schema)
     return None
+
+
+def request_metric_keys(
+    requests: "Counter", latency: "Histogram"
+) -> dict[str, tuple]:
+    """The label keys a front end's ``_observe`` updates by, computed
+    once: op -> (``requests`` key for outcome ``ok``, for outcome
+    ``error``, ``latency`` key), for every request op and ``invalid``
+    (a frame that did not parse).  ``requests`` is the front end's
+    request `repro.obs.registry.Counter` (labels ``op``, ``outcome``),
+    ``latency`` its latency `repro.obs.registry.Histogram` (``op``)."""
+    return {
+        op: (
+            requests.key(op=op, outcome="ok"),
+            requests.key(op=op, outcome="error"),
+            latency.key(op=op),
+        )
+        for op in (*REQUEST_OPS, "invalid")
+    }
 
 
 def process_usage() -> dict:
@@ -116,7 +177,7 @@ def encode_frame(frame: dict) -> bytes:
     """One reply line.  ``sort_keys``: introspection payloads promise a
     stable key order to scrapers and diffing tools, and it makes
     `is_error_line` a prefix test."""
-    return json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
+    return SORTED_JSON.encode(frame).encode("utf-8") + b"\n"
 
 
 def is_error_line(line: bytes) -> bool:
@@ -186,11 +247,13 @@ class FrameLoop:
     """Serve newline-framed JSON over TCP for one front end.
 
     ``process(line, peer)`` turns one request line into one reply line
-    (bytes, newline included) or an awaitable of it; ``counters`` is the
-    front end's counter dict, whose ``connections``,
-    ``connections_open`` and ``errors`` entries the loop maintains.
-    ``tasks`` holds every reply still being computed; the front end may
-    add its own background tasks so that `close` waits for them too.
+    (bytes, newline included), a `Pending` of it, or an awaitable of
+    it; ``counters`` is the front end's counter dict, whose
+    ``connections``, ``connections_open`` and ``errors`` entries the
+    loop maintains.  ``tasks`` holds every awaitable reply still being
+    computed; the front end may add its own background tasks so that
+    `close` waits for them too.  A connection waiting on a `Pending`
+    is not idle, so `close` waits for its reply the same way.
     """
 
     def __init__(self, process: Process, counters: dict) -> None:
@@ -281,7 +344,7 @@ class _Connection(asyncio.BufferedProtocol):
         #: Bytes of ``_buffer`` already searched for a newline.
         self._scanned = 0
         #: The reply being computed, if any.
-        self._reply: Optional[asyncio.Future] = None
+        self._reply: Union[asyncio.Future, Pending, None] = None
         self._eof = False
         self._reading = True
         self._writing = True
@@ -365,6 +428,15 @@ class _Connection(asyncio.BufferedProtocol):
             if not line.strip():
                 continue
             reply = self._frames._process(line, self._peer)
+            if isinstance(reply, Pending):
+                if reply.line is None:
+                    # Written by `_write_reply` when the reply
+                    # completes; the loop condition now holds further
+                    # frames.
+                    self._reply = reply
+                    reply._deliver = self._write_reply
+                    continue
+                reply = reply.line
             if isinstance(reply, bytes):
                 transport.write(reply)
                 if self._frames.draining:
@@ -387,17 +459,24 @@ class _Connection(asyncio.BufferedProtocol):
             transport.pause_reading()
 
     def _replied(self, future: asyncio.Future) -> None:
-        self._reply = None
         self._frames.tasks.discard(future)
-        transport = self._transport
         if future.cancelled() or future.exception() is not None:
             # Cancelled by drain, or a front end broke its contract:
             # no reply can be owed on this connection any more.
+            self._reply = None
             self.close()
             return
+        self._write_reply(future.result())
+
+    def _write_reply(self, line: bytes) -> None:
+        """Write the pending reply, then serve the frames held behind
+        it.  A `Pending` calls this from the callback that completed it;
+        a drain that closed the connection meanwhile drops the line."""
+        self._reply = None
+        transport = self._transport
         if transport is None or transport.is_closing():
             return
-        transport.write(future.result())
+        transport.write(line)
         if self._frames.draining:
             self.close()
             return

@@ -92,7 +92,14 @@ from ..obs.registry import MetricsRegistry
 from ..obs.timing import StageTimer, activate, deactivate
 from ..runtime import Budget, DeadlineExceeded, Overloaded
 from ..service.session import Miss
-from .lines import FrameLoop, FrameMemo, Reply, encode_frame, is_error_line
+from .lines import (
+    FrameLoop,
+    FrameMemo,
+    Reply,
+    encode_frame,
+    is_error_line,
+    request_metric_keys,
+)
 from .pool import SessionPool, introspection_frame
 
 #: Retry hint on quota/in-flight shedding when no better estimate exists.
@@ -312,6 +319,9 @@ class DecideServer:
             "Exclusive per-stage time within one request, ms.",
             labels=("stage",),
         )
+        self._m_keys = request_metric_keys(
+            self._m_requests, self._m_request_ms
+        )
         registry.register_provider("server", self.server_stats)
         # Duck-typed pools (tests) may lack register_metrics; expose
         # their stats() directly so the provider surface stays whole.
@@ -357,10 +367,11 @@ class DecideServer:
         outcome = "error" if failed else "ok"
         stages = timer.as_millis() if timer is not None else {}
         if self.metrics is not None:
-            self._m_requests.inc(op=op, outcome=outcome)
-            self._m_request_ms.observe(elapsed_ms, op=op)
+            ok_key, error_key, op_key = self._m_keys[op]
+            self._m_requests.inc_key(error_key if failed else ok_key)
+            self._m_request_ms.observe_key(elapsed_ms, op_key)
             for name, ms in stages.items():
-                self._m_stage_ms.observe(ms, stage=name)
+                self._m_stage_ms.observe_key(ms, (name,))
         if self._request_log is not None:
             self._request_log.log(
                 peer=peer,

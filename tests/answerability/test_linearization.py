@@ -1,13 +1,20 @@
 """Tests for the linearization pipeline (Prop 5.5 / App E.3)."""
 
+import random
+
 import pytest
 
 from repro.answerability import linearize, saturate_truncated_axioms
-from repro.answerability.linearization import acc_relation, IDShape
+from repro.answerability.linearization import (
+    IDShape,
+    _subsets_up_to,
+    acc_relation,
+)
 from repro.answerability import decide_with_ids, primed
 from repro.constraints import inclusion_dependency, tgd
 from repro.logic import atom, boolean_cq, Constant
 from repro.schema import Schema
+from repro.workloads import id_chain_workload, random_id_workload
 from repro.workloads.paperschemas import university_schema, query_q2
 
 
@@ -86,6 +93,132 @@ class TestSaturation:
         # acc(T.0) -> child U(x0, x1) has acc(0); method mu exposes U
         # fully; position 1 is exported back to T: so T.1 accessible.
         assert saturation[("T", frozenset({0}))] == {0, 1}
+
+
+def saturate_by_rounds(ids, exact_methods, arities, width):
+    """The reference fixpoint: rerun every closure rule over the whole
+    state until a round changes nothing."""
+    shapes = [IDShape.of(dependency) for dependency in ids]
+    state = {}
+    for relation, arity in arities.items():
+        for subset in _subsets_up_to(range(arity), width):
+            state[(relation, frozenset(subset))] = set(subset)
+    methods_by_relation = {}
+    for method in exact_methods:
+        methods_by_relation.setdefault(method.relation.name, []).append(
+            method
+        )
+    changed = True
+    while changed:
+        changed = False
+        for (relation, __), closure in state.items():
+            for method in methods_by_relation.get(relation, ()):
+                if method.input_positions <= closure:
+                    full = set(range(arities[relation]))
+                    if not full <= closure:
+                        closure.update(full)
+                        changed = True
+        for shape in shapes:
+            body_of_head = {h: b for b, h in shape.exported}
+            exported_heads = frozenset(body_of_head)
+            for head_subset in _subsets_up_to(exported_heads, width):
+                targets = state.get(
+                    (shape.head_relation, frozenset(head_subset))
+                )
+                if targets is None:
+                    continue
+                body_closure = state.get(
+                    (
+                        shape.body_relation,
+                        frozenset(body_of_head[h] for h in head_subset),
+                    )
+                )
+                if body_closure is None:
+                    continue
+                for target in targets & exported_heads:
+                    if body_of_head[target] not in body_closure:
+                        body_closure.add(body_of_head[target])
+                        changed = True
+        for (relation, __), closure in state.items():
+            for (relation2, premise), targets in state.items():
+                if relation2 != relation or not premise <= closure:
+                    continue
+                if not targets <= closure:
+                    closure.update(targets)
+                    changed = True
+    return state
+
+
+def random_wide_id_schema(rng: random.Random) -> Schema:
+    """Relations of arity 1–4, IDs exporting up to three positions
+    (self-IDs and swapped positions included), exact and bounded
+    methods with up to two inputs."""
+    schema = Schema()
+    arities = {f"N{i}": rng.randint(1, 4) for i in range(rng.randint(1, 4))}
+    for name, arity in arities.items():
+        schema.add_relation(name, arity)
+    names = list(arities)
+    for __ in range(rng.randint(1, 6)):
+        source, target = rng.choice(names), rng.choice(names)
+        k = rng.randint(1, min(3, arities[source], arities[target]))
+        schema.add_constraint(
+            inclusion_dependency(
+                source,
+                tuple(rng.sample(range(arities[source]), k)),
+                target,
+                tuple(rng.sample(range(arities[target]), k)),
+                arities[source],
+                arities[target],
+            )
+        )
+    for i in range(rng.randint(0, 4)):
+        relation = rng.choice(names)
+        arity = arities[relation]
+        schema.add_method(
+            f"m{i}",
+            relation,
+            inputs=rng.sample(range(arity), rng.randint(0, min(2, arity))),
+            result_bound=rng.choice([None, None, 3]),
+        )
+    return schema
+
+
+def saturations(schema: Schema):
+    """The reference fixpoint, then the worklist's with the relations
+    in declared and in reversed order (the worklist's visiting order
+    follows them)."""
+    ids = list(schema.constraints)
+    exact = [m for m in schema.methods if m.effective_bound() is None]
+    width = max((d.width for d in ids), default=1)
+    arities = schema.arities()
+    return [saturate_by_rounds(ids, exact, arities, width)] + [
+        saturate_truncated_axioms(ids, exact, order, width)
+        for order in (arities, dict(reversed(arities.items())))
+    ]
+
+
+class TestSaturationOracle:
+    def test_worklist_matches_the_round_fixpoint_on_random_id_schemas(self):
+        schemas = [
+            random_id_workload(seed, arity=arity, relations=4, ids=6).schema
+            for seed in range(60)
+            for arity in (2, 3, 4)
+        ]
+        rng = random.Random(11)
+        schemas += [random_wide_id_schema(rng) for __ in range(300)]
+        schemas += [id_chain_workload(n).schema for n in (1, 5, 12)]
+        grown = 0
+        for schema in schemas:
+            rounds, worklist, reversed_order = saturations(schema)
+            assert list(worklist) == list(rounds)
+            assert worklist == rounds, schema
+            assert reversed_order == rounds, schema
+            grown += any(
+                closure != set(premise)
+                for (__, premise), closure in rounds.items()
+            )
+        # The sample exercises the rules, not just the initial state.
+        assert grown > len(schemas) // 2
 
 
 class TestLinearizedRules:

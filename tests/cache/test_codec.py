@@ -23,6 +23,28 @@ from repro.cache import (
 
 
 class TestEnvelope:
+    def test_bytes_equal_the_json_dumps_spelling(self):
+        # Stored rows outlive the process: reusing encoders must not
+        # change a byte of what is written.
+        for payload in (
+            {"decision": "yes", "detail": {"disjuncts": 3, "b": [1, "é"]}},
+            ["z", {"y": None, "x": 1.5}],
+            "plain",
+        ):
+            payload_json = json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            )
+            envelope = {
+                "v": codec.FORMAT_VERSION,
+                "lib": repro.__version__,
+                "kind": "decision",
+                "sha": codec._digest(payload_json),
+                "payload": payload_json,
+            }
+            assert encode_envelope("decision", payload) == json.dumps(
+                envelope, separators=(",", ":")
+            ).encode("utf-8")
+
     def test_roundtrip(self):
         payload = {"decision": "yes", "detail": {"disjuncts": 3}}
         blob = encode_envelope("decision", payload)

@@ -17,6 +17,7 @@ import json
 import re
 import socket
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -596,6 +597,67 @@ class TestRelay:
         # decoded; the refused query's error frame never is.
         assert counters["replies_decoded"] == 1
         assert counters["routes_learned"] == 1
+
+    def test_relayed_frames_cost_no_future_task_or_loop_pass(self):
+        # The dispatcher and its worker run on a loop in another thread,
+        # driven by a blocking client, so the loop runs nothing but the
+        # two front ends.  Once the worker answers from its caches, a
+        # relayed decide/plan frame is read, forwarded, answered and
+        # written back from protocol callbacks alone: nothing creates a
+        # Future or a Task or queues a callback for a later loop pass.
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+
+        def on_loop(coroutine):
+            return asyncio.run_coroutine_threadsafe(coroutine, loop).result(30)
+
+        frames = b"".join(
+            json.dumps(frame).encode() + b"\n"
+            for frame in (
+                {"query": UNIVERSITY_QUERY, "id": 1},
+                {"op": "plan", "query": UNIVERSITY_QUERY, "id": 2},
+            )
+        )
+        calls = {"create_future": 0, "create_task": 0, "call_soon": 0}
+
+        def counting(name):
+            method = getattr(loop, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return counted
+
+        worker = on_loop(started_worker())
+        dispatcher = on_loop(started_dispatcher({"w0": worker}))
+        try:
+            with socket.create_connection(dispatcher.address) as client:
+                client.settimeout(30)
+                replies = client.makefile("rb")
+
+                def exchange() -> list:
+                    client.sendall(frames)
+                    return [json.loads(replies.readline()) for __ in "12"]
+
+                exchange()  # the worker decides and caches both
+                for name in calls:
+                    setattr(loop, name, counting(name))
+                try:
+                    answered = [exchange() for __ in range(10)]
+                finally:
+                    for name in calls:
+                        delattr(loop, name)
+        finally:
+            on_loop(shutdown(dispatcher, worker))
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(30)
+            loop.close()
+        for decide, plan in answered:
+            assert decide["decision"] == "yes" and decide["cached"] is True
+            assert plan["answerable"] is True and plan["id"] == 2
+        assert calls == {"create_future": 0, "create_task": 0, "call_soon": 0}
 
 
 class TestStats:

@@ -80,6 +80,46 @@ class TestCounterGauge:
         assert c.value() == 8000.0
 
 
+class TestLabelKeys:
+    def test_key_updates_snapshot_like_labelled_calls(self):
+        by_labels, by_keys = MetricsRegistry(), MetricsRegistry()
+        updates = [
+            ("decide", "ok", 0.3),
+            ("decide", "ok", 7.0),
+            ("plan", "error", 12.5),
+            ("invalid", "error", 0.01),
+            ("decide", "error", 20000.0),
+        ]
+        for registry, keyed in ((by_labels, False), (by_keys, True)):
+            requests = registry.counter(
+                "repro_t_total", "t", labels=("op", "outcome")
+            )
+            latency = registry.histogram("repro_t_ms", "t", labels=("op",))
+            plain = registry.counter("repro_t_plain_total", "t")
+            for op, outcome, ms in updates:
+                if keyed:
+                    requests.inc_key(requests.key(op=op, outcome=outcome))
+                    latency.observe_key(ms, latency.key(op=op))
+                    plain.inc_key(plain.key(), 2.0)
+                else:
+                    requests.inc(op=op, outcome=outcome)
+                    latency.observe(ms, op=op)
+                    plain.inc(2.0)
+        assert by_keys.snapshot() == by_labels.snapshot()
+        assert by_keys.render() == by_labels.render()
+
+    def test_a_key_lists_label_values_in_declared_order(self):
+        registry = MetricsRegistry()
+        c = registry.counter("repro_t_total", "t", labels=("op", "outcome"))
+        assert c.key(outcome="ok", op="decide") == ("decide", "ok")
+        c.inc_key(("decide", "ok"))
+        assert c.value(op="decide", outcome="ok") == 1.0
+        with pytest.raises(ValueError):
+            c.key(op="decide")
+        with pytest.raises(ValueError):
+            c.inc_key(("decide", "ok"), -1.0)
+
+
 class TestHistogramPercentiles:
     def test_bounds_must_strictly_increase(self):
         with pytest.raises(ValueError):

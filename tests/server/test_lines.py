@@ -231,3 +231,75 @@ class TestEncoding:
         plan = PlanResponse(query="q", answerable=False, reason="no")
         assert not is_error_line(encode_frame(plan.to_dict()))
         assert not is_error_line(encode_frame({"op": "pong"}))
+
+
+def served_frames() -> list:
+    """A decide, a plan, a decision-level error, error frames and a
+    stats frame, as a worker builds them."""
+    from repro.runtime import DeadlineExceeded, Overloaded, WorkerLost
+    from repro.server.pool import introspection_frame
+
+    pool = SessionPool(university_schema())
+    schema = schema_to_dict(id_chain_workload(3).schema)
+    frames = [
+        pool.process(DecideRequest(query="Udirectory(i,a,p)", id=1)),
+        pool.process(DecideRequest(query="R0(x)", schema=schema, id="é")),
+        pool.process(
+            DecideRequest(op="plan", query="Udirectory(i,a,p)", finite=True)
+        ),
+    ]
+    frames = [frame.to_dict() for frame in frames]
+    frames += [
+        ErrorFrame.from_exception(error, id=ident).to_dict()
+        for error in (
+            WorkerLost("gone", worker="w0", retry_after_ms=100.0),
+            Overloaded("busy", retry_after_ms=50.0, scope="client"),
+            DeadlineExceeded("late"),
+            ValueError("bad frame"),
+        )
+        for ident in (None, 7, "x")
+    ]
+    frames.append(
+        introspection_frame(
+            DecideRequest(op="stats", id=3), pool, server={"frames": 1}
+        )
+    )
+    return frames
+
+
+class TestSortedEncoder:
+    def test_frames_and_spellings_equal_a_sorted_json_dumps(self):
+        for frame in served_frames():
+            assert encode_frame(frame) == (
+                json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
+            )
+        for schema in (
+            SCHEMA,
+            schema_to_dict(id_chain_workload(4).schema),
+            {"relations": {"Ré": 2}, "methods": []},
+        ):
+            assert text_key_of(schema) == json.dumps(schema, sort_keys=True)
+        assert text_key_of("university") is None
+
+    def test_every_error_frame_reads_as_an_error_line(self):
+        frames = served_frames()
+        errors = [frame for frame in frames if set(frame) >= {"error"}]
+        assert len(errors) == 12
+        for frame in frames:
+            line = encode_frame(frame)
+            assert is_error_line(line) == (frame in errors)
+
+    def test_no_encoder_is_built_per_call(self, monkeypatch):
+        frames = served_frames()
+        built = []
+        init = json.JSONEncoder.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONEncoder, "__init__", counted)
+        for frame in frames:
+            encode_frame(frame)
+        text_key_of(SCHEMA)
+        assert built == []
