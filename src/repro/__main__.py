@@ -18,7 +18,8 @@ Commands
     per distinct schema fingerprint and reused across lines.
 ``serve [SCHEMA.json] [--host H] [--port P] ...``
     The asyncio JSON-lines TCP server: the ``batch`` protocol on a
-    socket, decisions on a fixed set of executor threads, one session
+    socket, cheap misses decided on the event loop while no thread is
+    busy and the rest on a fixed set of executor threads, one session
     per schema fingerprint with LRU eviction (``--max-fingerprints``)
     and bounded in-flight backpressure (``--max-pending``).  ``op``
     frames ``stats`` and ``ping`` expose introspection; the default

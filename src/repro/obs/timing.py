@@ -12,8 +12,9 @@ that runs an inner chase attributes the chase rounds to ``chase`` and
 only the decision shell to ``match``).
 
 The active timer rides a thread-local.  Transports `activate` one
-around each piece of the request body (the TCP server: the lookup on
-its event loop, the rest on a decision thread); with no active timer,
+around each piece of the request body (the TCP server: the lookup,
+and a miss decided within the loop slice, on its event loop, the rest
+on a decision thread); with no active timer,
 ``stage(...)`` is a two-attribute-lookup no-op, which is what keeps
 always-on instrumentation inside the latency budget — instrumented
 library code pays nothing unless a transport asked for timings.

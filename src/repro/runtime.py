@@ -25,6 +25,11 @@ retryable error.
 (per-client quotas, a saturated global gate): the work was never
 started, so retrying after ``retry_after_ms`` is always safe.
 
+A serve loop that decides a miss itself does so inside `loop_slice`:
+there `forbid_build` raises `DeadlineExceeded` (reason ``loop-slice``)
+instead of letting a compiled-schema artifact be built, so compile work
+is handed to a decision thread like an overrun slice.
+
 Both errors carry ``retryable`` / ``retry_after_ms`` attributes that
 `repro.io.ErrorFrame.from_exception` lifts onto the wire, giving
 clients a machine-readable retry contract.
@@ -32,11 +37,16 @@ clients a machine-readable retry contract.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Callable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 #: Candidate facts examined between two clock reads in `Budget.tick`.
 TICK_STRIDE = 256
+
+#: Per-thread state: ``on_slice`` is true inside `loop_slice`.
+_thread = threading.local()
 
 
 class DeadlineExceeded(RuntimeError):
@@ -231,3 +241,24 @@ class Budget:
             "expired" if self.expired() else "live"
         )
         return f"Budget(deadline_ms={self.deadline_ms}, {state})"
+
+
+@contextmanager
+def loop_slice() -> Iterator[None]:
+    """Mark this thread as deciding on a serve loop's slice: inside,
+    `forbid_build` raises rather than let an artifact be built."""
+    _thread.on_slice = True
+    try:
+        yield
+    finally:
+        _thread.on_slice = False
+
+
+def forbid_build(what: str) -> None:
+    """Raise `DeadlineExceeded` (reason ``loop-slice``) inside
+    `loop_slice`, before ``what`` would be built: the caller hands the
+    computation to a thread, which builds it.  Free elsewhere."""
+    if getattr(_thread, "on_slice", False):
+        raise DeadlineExceeded(
+            f"{what} is built off the serve loop", reason="loop-slice"
+        )

@@ -9,8 +9,10 @@ The layer that turns the service seam into a server:
   heat, and `warm()` for manifest-driven precompilation;
 * `DecideServer` / `run_server` — the asyncio JSON-lines TCP front end:
   cached decisions answered on the event loop (`SessionPool.lookup`),
-  the rest on a fixed set of decision threads, backpressure via a
-  bounded in-flight gate (optionally shedding `Overloaded` frames),
+  cheap misses decided there under a `LOOP_SLICE_MS` CPU slice while no
+  thread is busy, the rest on a fixed set of decision threads,
+  backpressure via a bounded in-flight gate (optionally shedding
+  `Overloaded` frames),
   per-request deadlines with cooperative cancellation, per-client
   token-bucket quotas, graceful drain, and structured `ErrorFrame`s
   for every failure;

@@ -34,9 +34,12 @@ recalled) without compiling or ever blocking on the pool lock, and runs
 `Session.lookup` — exact text, then parse and canonical key, then the
 session LRU, then the durable store.  A hit comes back served; a miss
 comes back as the `repro.service.session.Miss` that
-``process(request, miss=...)`` resolves on a decision thread, so the
-query is parsed and looked up once.  `stats()` reports each
-fingerprint's session statistics plus the pool's own routing counters.
+``process(request, miss=...)`` resolves (on the loop's slice, or on a
+decision thread), so the query is parsed and looked up once.
+`deciding` counts the `process` calls running from every caller, so
+the server decides on its loop only while no decision runs anywhere.
+`stats()` reports each fingerprint's session statistics plus the
+pool's own routing counters.
 """
 
 from __future__ import annotations
@@ -182,6 +185,10 @@ class SessionPool:
         #: Fingerprints this pool has written to the store's warm set
         #: (LRU-bounded like ``_heat``).
         self._warm_recorded: OrderedDict[str, None] = OrderedDict()
+        #: `process` calls running now, from every caller (server
+        #: threads and loop, WSGI host threads, the batch CLI).
+        self.deciding = 0
+        self._deciding_lock = threading.Lock()
         self._default: Optional[_Entry] = None
         if default_schema is not None:
             self._default = self._new_entry(self._compile(default_schema))
@@ -427,15 +434,22 @@ class SessionPool:
             )
         if budget is None:
             budget = self.budget_for(request)
-        if miss is not None:
-            return self._finish(request, miss.session.resolve(miss, budget))
-        session = self.session(request.schema, text_key)
-        if request.op == "plan":
-            response: Response = session.plan(request.query, budget=budget)
-        else:
-            response = session.decide(
-                request.query, finite=request.finite, budget=budget
-            )
+        with self._deciding_lock:
+            self.deciding += 1
+        try:
+            if miss is not None:
+                response: Response = miss.session.resolve(miss, budget)
+            else:
+                session = self.session(request.schema, text_key)
+                if request.op == "plan":
+                    response = session.plan(request.query, budget=budget)
+                else:
+                    response = session.decide(
+                        request.query, finite=request.finite, budget=budget
+                    )
+        finally:
+            with self._deciding_lock:
+                self.deciding -= 1
         return self._finish(request, response)
 
     def lookup(

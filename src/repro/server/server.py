@@ -9,21 +9,29 @@ order (responses line up with requests); concurrency comes from
 concurrent connections.
 
 The event loop looks every decide/plan frame up in the decision caches,
-non-blocking; it never compiles or decides.  `SessionPool.lookup`
-routes a schema spelling the pool knows (live, or recalled after
-eviction without parsing it) and runs `Session.lookup`: the exact query
-text, then the query parse and canonical key, then the session LRU,
-then the durable store.  A hit is served right there (counted as
-``loop_hits``).  A miss goes to one of `DECISION_THREADS` executor
-threads with its parsed state, so it is parsed and looked up once; a
-spelling no session has seen goes there whole, so its compile stays
-off the loop.  Slow chases thus never block frame parsing, stats
-probes or cache hits (they still share the GIL).  The decision routes
-are pure-Python CPU work, so under the GIL those threads never decide
-in parallel; they time-slice, which lets a cheap miss finish beside a
-slow one.  A miss waits behind slow ones only once every thread holds
-one.  A host scales by processes (``python -m repro fleet``), not by
-threads.
+non-blocking.  `SessionPool.lookup` routes a schema spelling the pool
+knows (live, or recalled after eviction without parsing it) and runs
+`Session.lookup`: the exact query text, then the query parse and
+canonical key, then the session LRU, then the durable store.  A hit is
+served right there (counted as ``loop_hits``).  The loop decides cheap
+misses when no thread is busy; overruns and compiles go to threads.
+While no decision is running (nothing in flight here, and no
+`SessionPool.process` call from any caller), the loop resolves a miss
+itself under a `LOOP_SLICE_MS` slice of the request's budget
+(``loop_decisions``): that saves the hop to a thread, which costs a
+cheap miss about as much CPU as deciding it.  A miss that overruns the
+slice, or needs a compiled-schema artifact built
+(`repro.runtime.forbid_build`), is handed with its parsed state to one
+of `DECISION_THREADS` executor threads (``loop_handoffs``); a cancelled
+slice caches nothing, so the thread starts clean.  So does every miss
+that arrives while a decision runs, and a spelling no session has seen
+goes there whole, so its compile stays off the loop.  Slow chases thus
+never block frame parsing, stats probes or cache hits for more than a
+slice (they still share the GIL).  The decision routes are pure-Python
+CPU work, so under the GIL those threads never decide in parallel; they
+time-slice, which lets a cheap miss finish beside a slow one.  A miss
+waits behind slow ones only once every thread holds one.  A host scales
+by processes (``python -m repro fleet``), not by threads.
 Connections are read by the shared `repro.server.lines.FrameLoop`: what
 the loop answers itself (a hit, a malformed frame, ping/stats/metrics,
 a quota shed) is written back from the connection's ``buffer_updated``
@@ -90,7 +98,7 @@ from ..io import DecideRequest, ErrorFrame
 from ..obs.logs import RequestLogger
 from ..obs.registry import MetricsRegistry
 from ..obs.timing import StageTimer, activate, deactivate
-from ..runtime import Budget, DeadlineExceeded, Overloaded
+from ..runtime import Budget, DeadlineExceeded, Overloaded, loop_slice
 from ..service.session import Miss
 from .lines import (
     FrameLoop,
@@ -111,6 +119,11 @@ MAX_CLIENT_STATES = 1024
 #: one slow uncacheable miss waited for all of it, even with
 #: ``max_inflight_per_client=1`` capping the slow client.
 DECISION_THREADS = 4
+#: CPU time (ms, the loop thread's `time.thread_time`) the event loop
+#: gives a cache miss while no decision runs; a miss that needs more is
+#: finished on a decision thread.  CPU, not wall, time: a worker the
+#: host deschedules mid-slice still decides its cheap miss itself.
+LOOP_SLICE_MS = 2.0
 
 
 class _ClientState:
@@ -218,6 +231,8 @@ class DecideServer:
             "frames": 0,
             "responses": 0,
             "loop_hits": 0,
+            "loop_decisions": 0,
+            "loop_handoffs": 0,
             "errors": 0,
             "in_flight": 0,
             "overloaded": 0,
@@ -513,6 +528,14 @@ class DecideServer:
         finally:
             deactivate(previous)
         if found is None or isinstance(found, Miss):
+            if (
+                found is not None
+                and not self._counters["in_flight"]
+                and not self.pool.deciding
+            ):
+                return self._decide_on_loop(
+                    request, text_key, found, state, peer, started, timer
+                )
             return self._decide(
                 request, text_key, found, state, peer, started, timer
             )
@@ -533,6 +556,55 @@ class DecideServer:
             self._observe(request, frame, line, peer, started, timer)
         return line
 
+    def _decide_on_loop(
+        self,
+        request: DecideRequest,
+        text_key: Optional[str],
+        miss: Miss,
+        state: Optional[_ClientState],
+        peer: str,
+        started: float,
+        timer: Optional[StageTimer],
+    ) -> Reply:
+        """Resolve ``miss`` right here under a `LOOP_SLICE_MS` slice
+        (the request's own budget instead, when less than a slice of it
+        remains).  A miss that overruns the slice, or needs a
+        compiled-schema artifact built, goes on to `_decide` with the
+        request's budget; one whose own deadline ran out is answered
+        with the ``DeadlineExceeded`` frame."""
+        budget = self.pool.budget_for(request) or Budget()
+        remaining = budget.remaining_ms()
+        if remaining is not None and remaining <= LOOP_SLICE_MS:
+            slice_budget = budget
+        else:
+            slice_budget = Budget(LOOP_SLICE_MS, clock=time.thread_time)
+        previous = activate(timer)
+        try:
+            with loop_slice():
+                response = self.pool.process(
+                    request, budget=slice_budget, text_key=text_key, miss=miss
+                )
+        except DeadlineExceeded as error:
+            if not budget.exhausted():
+                self._counters["loop_handoffs"] += 1
+                return self._decide(
+                    request, text_key, miss, state, peer, started, timer,
+                    budget,
+                )
+            self._counters["errors"] += 1
+            self._counters["deadline_exceeded"] += 1
+            frame = ErrorFrame.from_exception(error, id=request.id).to_dict()
+        except Exception as error:
+            self._counters["errors"] += 1
+            frame = ErrorFrame.from_exception(error, id=request.id).to_dict()
+        else:
+            self._counters["loop_decisions"] += 1
+            self._counters["responses"] += 1
+            frame = response.to_dict()
+        finally:
+            deactivate(previous)
+        return self._reply(request, frame, peer, started, timer)
+
     async def _decide(
         self,
         request: DecideRequest,
@@ -542,10 +614,12 @@ class DecideServer:
         peer: str,
         started: float,
         timer: Optional[StageTimer],
+        budget: Optional[Budget] = None,
     ) -> bytes:
         """The executor path: wait at the gate, then resolve ``miss``
         (or, when the loop could not route the request, process it
-        whole) on an executor thread under the request's budget."""
+        whole) on an executor thread under the request's budget
+        (``budget`` when the loop already made it)."""
         assert self._gate is not None and self._executor is not None
         acquired = False
         if self.shed_after_ms is not None:
@@ -575,7 +649,8 @@ class DecideServer:
         else:
             await self._gate.acquire()  # backpressure: wait, don't shed
             acquired = True
-        budget = self.pool.budget_for(request) or Budget()
+        if budget is None:
+            budget = self.pool.budget_for(request) or Budget()
         self._budgets.add(budget)
         if state is not None:
             state.inflight += 1

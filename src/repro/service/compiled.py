@@ -31,6 +31,7 @@ from ..constraints.fd import FunctionalDependency
 from ..constraints.tgd import TGD
 from ..obs.timing import stage
 from ..io import schema_from_dict, schema_to_dict
+from ..runtime import forbid_build
 from ..schema.access import AccessMethod
 from ..schema.schema import Schema, check_query_fits
 
@@ -43,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 #: Simplification kinds a compiled schema can hold.
 SIMPLIFICATION_KINDS = ("existence-check", "fd", "choice")
+
+#: `CompiledSchema._artifact`'s marker for an artifact not built yet.
+_MISSING = object()
 
 
 def schema_fingerprint(schema: Schema) -> str:
@@ -175,7 +179,14 @@ class CompiledSchema:
 
     # ------------------------------------------------------------------
     def _artifact(self, key: str, build: Callable[[], Any]) -> Any:
-        """Build-once storage: the first caller computes, the rest read."""
+        """Build-once storage: the first caller computes, the rest read
+        (a built artifact is read without the lock).  On a serve loop's
+        slice nothing is built: `forbid_build` hands the request to a
+        decision thread first."""
+        artifact = self._artifacts.get(key, _MISSING)
+        if artifact is not _MISSING:
+            return artifact
+        forbid_build(f"artifact {key!r}")
         with self._lock:
             if key not in self._artifacts:
                 self.stats[key] = self.stats.get(key, 0) + 1

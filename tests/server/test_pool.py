@@ -1,5 +1,6 @@
 """Unit tests for the per-fingerprint `SessionPool`."""
 
+import sys
 import threading
 
 import pytest
@@ -271,6 +272,47 @@ class TestProcess:
         assert compiled.rewrite_engine().subsumption is True
         assert compiled.stats["rewrite-engine"] == 1
         assert "subsumption" not in pool.stats()["limits"]
+
+    def test_deciding_counts_every_running_process_call(self, monkeypatch):
+        # More threads than cores, switching every microsecond: a lost
+        # update to the count would leave it off zero, or let it run
+        # past the number of callers.
+        pool = SessionPool(university_schema(ud_bound=100))
+        callers, rounds = 8, 40
+        seen: list[int] = []
+        process = Session.resolve
+
+        def watched(session, miss, budget=None):
+            seen.append(pool.deciding)
+            return process(session, miss, budget)
+
+        start = threading.Barrier(callers)
+
+        def caller(k: int) -> None:
+            start.wait(timeout=30)
+            for n in range(rounds):
+                pool.process(
+                    DecideRequest(query=f"Prof(i, n, {k * rounds + n})")
+                )
+
+        monkeypatch.setattr(Session, "resolve", watched)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(k,))
+                for k in range(callers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert pool.deciding == 0
+        assert len(seen) == callers * rounds
+        assert all(1 <= count <= callers for count in seen)
 
 
 class TestStats:
